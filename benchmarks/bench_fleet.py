@@ -43,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -51,6 +52,7 @@ import sys
 from pathlib import Path
 
 from repro.bench.harness import FleetBenchConfig, run_fleet_bench
+from repro.crypto import libcrypto
 
 #: (n_machines, n_enclaves) rows of the scale sweep; the last row is the
 #: acceptance point (>= 64 machines x >= 512 enclaves).
@@ -213,20 +215,44 @@ def run_planner_throughput(n_machines: int, n_moves: int) -> dict:
     }
 
 
-def _git_commit() -> str:
-    """Current HEAD hash, or "unknown" outside a usable git checkout."""
+def _git(*args: str) -> str | None:
+    """``git <args>`` stdout in this checkout, or None outside a usable one."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
             check=True,
         )
-        return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
+        return None
+    return out.stdout
+
+
+def _provenance() -> dict:
+    """What produced the report.
+
+    A report is recorded before the commit that checks it in, so
+    ``git_commit`` is that commit's parent: the code measured is
+    ``git_commit`` plus the working-tree changes ``git_dirty`` flags, and
+    ``src_sha256`` (a hash over every ``src/**/*.py`` path and content)
+    names it exactly.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src.parent).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    commit = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no") if commit else None
+    return {
+        "git_commit": commit.strip() if commit else "unknown",
+        "git_dirty": bool(status.strip()) if status is not None else None,
+        "src_sha256": digest.hexdigest(),
+        "crypto_backend": libcrypto.backend(),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         "platform": platform.platform(),
         "processor": platform.processor() or platform.machine(),
         "cpu_count": os.cpu_count(),
-        "git_commit": _git_commit(),
+        **_provenance(),
         # The base knob set, verbatim from FleetBenchConfig; each run below
         # additionally records its own full config dict (result["config"]).
         "config": FleetBenchConfig.from_args(args).as_dict(),

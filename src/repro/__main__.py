@@ -35,7 +35,9 @@ def _run_bench(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro.bench.harness import run_migration_bench
+    from repro.crypto import libcrypto
 
+    print(f"crypto backend: {libcrypto.backend()}")
     if args.profile is not None:
         import cProfile
         import pstats

@@ -1,8 +1,10 @@
-"""From-scratch cryptographic primitives used by the simulated SGX platform.
+"""Cryptographic primitives used by the simulated SGX platform.
 
 Block cipher (AES), AEAD (AES-GCM), MAC (AES-CMAC), KDFs (SP 800-108 CMAC
 counter mode, HKDF-SHA256), finite-field Diffie-Hellman, Schnorr signatures,
-and a simulated EPID group-signature scheme.
+and a simulated EPID group-signature scheme.  AES, AES-GCM and AES-CMAC are
+a pure-Python reference; libcrypto when present (:mod:`.libcrypto` runs
+AES-GCM and the CMAC block chain in the OpenSSL that ``hashlib`` loads).
 """
 
 from repro.crypto.aes import AES

@@ -1,6 +1,9 @@
-"""AES block cipher (FIPS 197), implemented from scratch.
+"""AES block cipher (FIPS 197): the pure-Python reference.
 
-Two code paths are provided:
+AES-GCM and AES-CMAC run through the platform's libcrypto when present
+(:mod:`repro.crypto.libcrypto`); this module is their fallback and the
+oracle the differential tests compare libcrypto against.  Two code paths
+are provided:
 
 * a scalar path (:meth:`AES.encrypt_block` / :meth:`AES.decrypt_block`)
   used for single blocks — key schedules, CMAC subkeys, GHASH key
@@ -118,15 +121,20 @@ def clear_key_schedule_cache() -> None:
     _schedule_misses = 0
 
 
+def checked_key(key: bytes) -> bytes:
+    """``key`` as bytes, or :class:`CryptoError` unless it is 16/24/32 bytes."""
+    if len(key) not in _KEY_ROUNDS:
+        raise CryptoError(f"invalid AES key length: {len(key)}")
+    return bytes(key)
+
+
 class AES:
     """AES-128/192/256 block cipher over 16-byte blocks."""
 
     def __init__(self, key: bytes):
         global _schedule_hits, _schedule_misses
-        if len(key) not in _KEY_ROUNDS:
-            raise CryptoError(f"invalid AES key length: {len(key)}")
+        key = checked_key(key)
         self.rounds = _KEY_ROUNDS[len(key)]
-        key = bytes(key)
         cached = _SCHEDULE_CACHE.get(key)
         if cached is not None:
             _schedule_hits += 1

@@ -1,9 +1,13 @@
-"""AES-GCM authenticated encryption (NIST SP 800-38D), from scratch.
+"""AES-GCM authenticated encryption (NIST SP 800-38D): pure-Python
+reference; libcrypto when present.
 
 This is the AEAD used everywhere the paper uses ``sgx_seal_data`` or an
-attested secure channel.  GHASH is implemented over GF(2^128) with Shoup-style
-8-bit tables so that bulk payloads (the paper's 100 kB sealing benchmark) stay
-fast in pure Python; the tables are built once per key and cached.
+attested secure channel.  Calls with a 96-bit IV (every production call
+site) run through :mod:`repro.crypto.libcrypto` when it is available; other
+IV lengths, and every call when it is not, take the pure-Python path below.
+That path implements GHASH over GF(2^128) with Shoup-style 8-bit tables so
+that bulk payloads (the paper's 100 kB sealing benchmark) stay tolerable;
+the tables are built per key only when the pure path runs, and cached.
 
 Known-answer tests against the NIST GCM vectors live in
 ``tests/unit/test_gcm.py``.
@@ -12,8 +16,10 @@ Known-answer tests against the NIST GCM vectors live in
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cached_property
 
-from repro.crypto.aes import AES
+from repro.crypto import libcrypto
+from repro.crypto.aes import AES, checked_key
 from repro.crypto.bytesutil import block_to_int, constant_time_equal, int_to_block, xor_bytes
 from repro.crypto.ctr import ctr_transform
 from repro.errors import CryptoError
@@ -156,15 +162,28 @@ def _ghash(key: _GhashKey, aad: bytes, ciphertext: bytes) -> bytes:
 
 
 class AesGcm:
-    """AES-GCM with 96-bit IVs and 128-bit tags."""
+    """AES-GCM with 128-bit tags; 96-bit IVs are the fast path."""
 
     TAG_SIZE = 16
     IV_SIZE = 12
 
     def __init__(self, key: bytes):
-        self._cipher = AES(key)
-        h = block_to_int(self._cipher.encrypt_block(b"\x00" * 16))
-        self._ghash_key = _ghash_key_for(h)
+        self._key = checked_key(key)
+        if not libcrypto.available:
+            # Without libcrypto every call is pure, so build its state up
+            # front as the reference always has (the table caches count it).
+            _ = self._ghash_key
+
+    @cached_property
+    def _cipher(self) -> AES:
+        return AES(self._key)
+
+    @cached_property
+    def _ghash_key(self) -> _GhashKey:
+        return _ghash_key_for(block_to_int(self._cipher.encrypt_block(b"\x00" * 16)))
+
+    def _native(self, iv: bytes) -> bool:
+        return libcrypto.available and len(iv) == self.IV_SIZE
 
     def _j0(self, iv: bytes) -> int:
         if len(iv) == self.IV_SIZE:
@@ -174,6 +193,8 @@ class AesGcm:
 
     def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple[bytes, bytes]:
         """Return ``(ciphertext, tag)``."""
+        if self._native(iv):
+            return libcrypto.gcm_encrypt(self._key, iv, plaintext, aad)
         j0 = self._j0(iv)
         ciphertext = ctr_transform(self._cipher, j0 + 1, plaintext)
         s = _ghash(self._ghash_key, aad, ciphertext)
@@ -184,6 +205,8 @@ class AesGcm:
         """Verify the tag and return the plaintext; raises on any mismatch."""
         if len(tag) != self.TAG_SIZE:
             raise CryptoError(f"GCM tag must be {self.TAG_SIZE} bytes")
+        if self._native(iv):
+            return libcrypto.gcm_decrypt(self._key, iv, ciphertext, tag, aad)
         j0 = self._j0(iv)
         s = _ghash(self._ghash_key, aad, ciphertext)
         expected = xor_bytes(self._cipher.encrypt_block(int_to_block(j0)), s)

@@ -7,15 +7,38 @@ test that mutates shared state builds its own world.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import AnalysisEngine
 from repro.cloud.datacenter import DataCenter
+from repro.crypto import libcrypto
 from repro.sgx.cpu import SgxCpu
 from repro.sgx.identity import SigningKey
 from repro.sgx.platform_services import PlatformServices
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostMeter, CostModel
 from repro.sim.rng import DeterministicRng
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def tree_findings():
+    """Analyzer findings, pragmas applied, over ``src/repro``, ``examples``
+    and ``benchmarks``: the whole-tree run the clean-tree gates share."""
+    return AnalysisEngine().analyze_paths(
+        [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
+    )
+
+
+@pytest.fixture
+def pure_crypto(monkeypatch):
+    """Run AES-GCM / AES-CMAC on the pure-Python reference, as on a host
+    without libcrypto."""
+    monkeypatch.setattr(libcrypto, "available", False)
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sgx.enclave import ecall
 from repro.sgx.identity import SigningKey
+from tests.crypto_paths import pure_variants
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "wire_traces_seed0.json"
 
@@ -154,6 +155,10 @@ class TestWireCompatibility:
 
     def test_traces_are_seed_deterministic(self):
         assert migrate_trace() == migrate_trace()
+
+
+# Every class above again, on the pure-Python reference path.
+globals().update(pure_variants(globals()))
 
 
 def regenerate_golden() -> None:  # pragma: no cover - maintenance helper

@@ -12,6 +12,7 @@ from repro import wire
 import pytest
 
 from repro.errors import CryptoError
+from tests.crypto_paths import pure_variants
 
 keys = st.binary(min_size=16, max_size=16)
 ivs = st.binary(min_size=12, max_size=12)
@@ -130,3 +131,7 @@ class TestWireProperties:
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, message):
         assert wire.decode(wire.encode(message)) == message
+
+
+# Every class above again, on the pure-Python reference path.
+globals().update(pure_variants(globals()))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.crypto.aes import AES, INV_SBOX, SBOX
 from repro.errors import CryptoError
+from tests.crypto_paths import pure_variants
 
 FIPS_128_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 FIPS_128_PT = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
@@ -100,3 +101,7 @@ class TestValidation:
         assert AES(bytes(16)).rounds == 10
         assert AES(bytes(24)).rounds == 12
         assert AES(bytes(32)).rounds == 14
+
+
+# Every class above again, on the pure-Python reference path.
+globals().update(pure_variants(globals()))

@@ -1,6 +1,12 @@
 """The ``python -m repro`` command-line interface."""
 
+import importlib.util
+from pathlib import Path
+
 from repro.__main__ import main
+from repro.crypto import libcrypto
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestCli:
@@ -31,3 +37,21 @@ class TestFleetDispatchFlag:
             assert exc.code != 0
         else:  # pragma: no cover - argparse always exits here
             raise AssertionError("argparse accepted an unknown dispatch mode")
+
+
+class TestBenchProvenance:
+    def test_bench_header_names_the_crypto_backend(self, capsys, pure_crypto):
+        assert main(["bench", "--reps", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "crypto backend: pure"
+
+    def test_fleet_report_identifies_the_measured_code(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_fleet", REPO_ROOT / "benchmarks" / "bench_fleet.py"
+        )
+        bench_fleet = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_fleet)
+        meta = bench_fleet._provenance()
+        assert meta["crypto_backend"] == libcrypto.backend()
+        assert len(meta["src_sha256"]) == 64
+        assert meta["git_dirty"] in (True, False, None)
+        assert meta["git_commit"]

@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.cmac import AesCmac, aes_cmac
 from repro.crypto.kdf import HkdfSha256, derive_key_cmac, sha256
 from repro.errors import CryptoError
+from tests.crypto_paths import pure_variants
 
 RFC4493_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 RFC4493_MSG = bytes.fromhex(
@@ -106,3 +107,7 @@ class TestHkdf:
         assert sha256(b"abc").hex() == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+
+# Every class above again, on the pure-Python reference path.
+globals().update(pure_variants(globals()))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.gcm import AesGcm, _GhashKey, gf_mult
 from repro.errors import CryptoError
+from tests.crypto_paths import pure_variants
 
 KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
 IV = bytes.fromhex("cafebabefacedbaddecaf888")
@@ -125,6 +126,7 @@ class TestGhash:
         assert gf_mult(a, b) == gf_mult(b, a)
 
 
+@pytest.mark.usefixtures("pure_crypto")
 class TestGhashTableCache:
     def test_hits_misses_and_sharing(self):
         from repro.crypto import gcm
@@ -166,3 +168,7 @@ class TestGhashTableCache:
         assert AesGcm(keys[0]).decrypt(iv, ciphertext, tag) == b"data"
         assert gcm.ghash_table_cache_stats()["misses"] == 4
         gcm.clear_ghash_table_cache()
+
+
+# Every class above again, on the pure-Python reference path.
+globals().update(pure_variants(globals()))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.gcm import AesGcm
+from tests.crypto_paths import pure_variants
 
 KEY256 = bytes.fromhex(
     "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308"
@@ -52,3 +53,7 @@ class TestAes256GcmVectors:
         gcm = AesGcm(bytes(range(key_size)))
         ciphertext, tag = gcm.encrypt(IV, b"payload", b"aad")
         assert gcm.decrypt(IV, ciphertext, tag, b"aad") == b"payload"
+
+
+# Every class above again, on the pure-Python reference path.
+globals().update(pure_variants(globals()))

@@ -97,6 +97,7 @@ class TestPublicKeyLru:
         assert modexp.public_key_cache_stats()["size"] == modexp.LRU_CAPACITY
 
 
+@pytest.mark.usefixtures("pure_crypto")
 class TestKeyScheduleCache:
     def test_hit_and_miss_accounting(self):
         clear_key_schedule_cache()
