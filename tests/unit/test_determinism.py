@@ -114,6 +114,42 @@ class TestSeedDeterminism:
         b = run_disk_scenario(scenario, seed=2018)
         assert asdict(a) == asdict(b)
 
+    def test_every_chaos_grid_keeps_its_size(self):
+        """Every adversarial grid's scenario count at seed 2018 is pinned:
+        base and batched with session resumption off and on, disk, fleet
+        and clone.  A grid that shrinks has silently lost coverage."""
+        from repro.faults import chaos
+
+        def network_grid(probe, session_resumption):
+            trace = probe(2018, session_resumption)
+            return sum(
+                1
+                for leg in trace
+                for kind in chaos.DEFAULT_KINDS
+                if kind != "duplicate" or leg.direction == "request"
+            )
+
+        sizes = {
+            "base": network_grid(chaos.probe_message_sequence, False),
+            "base+resumption": network_grid(chaos.probe_message_sequence, True),
+            "batched": network_grid(chaos.probe_batched_message_sequence, False),
+            "batched+resumption": network_grid(
+                chaos.probe_batched_message_sequence, True
+            ),
+            "disk": len(chaos.enumerate_disk_scenarios(2018)),
+            "fleet": len(chaos.enumerate_fleet_scenarios(2018)),
+            "clone": len(chaos.enumerate_clone_scenarios(2018)),
+        }
+        assert sizes == {
+            "base": 77,
+            "base+resumption": 77,
+            "batched": 140,
+            "batched+resumption": 140,
+            "disk": 98,
+            "fleet": 18,
+            "clone": 71,
+        }
+
     def test_chaos_clone_enumeration_matches_golden_file(self):
         """The clone sweep's scenario grid (campaign x protocol window x
         fault) is pinned: silently losing a cloning window means silently
