@@ -2,17 +2,11 @@
 
 from repro.attacks.cloning import (
     CloneCampaignReport,
-    CloneWorld,
-    build_clone_world,
-    check_clone_invariants,
+    clone_spec,
     launch_clone,
-    probe_restore_trace,
-    probe_stale_session_trace,
-    probe_wave_trace,
     run_healed_disk_campaign,
-    run_restore_window_campaign,
-    run_stale_session_replay_campaign,
-    run_wave_double_join_campaign,
+    run_window_campaign,
+    victim,
 )
 from repro.attacks.fork import (
     ForkAttackResult,
@@ -27,21 +21,15 @@ from repro.attacks.rollback import (
 
 __all__ = [
     "CloneCampaignReport",
-    "CloneWorld",
     "ForkAttackResult",
     "RollbackAttackResult",
-    "build_clone_world",
-    "check_clone_invariants",
+    "clone_spec",
     "launch_clone",
-    "probe_restore_trace",
-    "probe_stale_session_trace",
-    "probe_wave_trace",
     "run_fork_attack_defended",
     "run_fork_attack_vulnerable",
     "run_healed_disk_campaign",
-    "run_restore_window_campaign",
     "run_rollback_attack_defended",
     "run_rollback_attack_vulnerable",
-    "run_stale_session_replay_campaign",
-    "run_wave_double_join_campaign",
+    "run_window_campaign",
+    "victim",
 ]

@@ -37,18 +37,13 @@ it, the detection latency in virtual seconds, and the R3/R4 verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro import wire
 from repro.apps.counter_app import MigratableBenchEnclave
-from repro.cloud.datacenter import DataCenter
 from repro.cloud.network import Endpoint
-from repro.core.protocol import (
-    LIBRARY_STATE_PATH,
-    MigratableApp,
-    install_all_migration_enclaves,
-    reinstall_migration_enclave,
-)
+from repro.core.protocol import LIBRARY_STATE_PATH, MigratableApp
 from repro.core.result import MigrationOutcome
-from repro.core.retry import RetryPolicy
 from repro.errors import (
     CloneDetectedError,
     FencedInstanceError,
@@ -56,49 +51,34 @@ from repro.errors import (
     ReproError,
     TransientError,
 )
-from repro.faults.injector import FaultInjector, ObservedMessage
 from repro.faults.plan import FaultPlan
-from repro.fleet.registry import SingleInstanceRegistry
-from repro.sgx.identity import SigningKey
-from repro import wire
-
-SOURCE = "machine-a"
-DESTINATION = "machine-b"
-CONTROL = "machine-ctl"
-
-#: Counter targets per deployed app (padded ids, same trick as the chaos
-#: batched world): distinct values so a cross-instance mix-up shows as R4.
-CLONE_COUNTER_TARGETS = (3, 5)
-
-#: Small retry budget: scenarios where retries cannot help fail fast into
-#: the resume path instead of burning sweep wall-clock.
-ATTACK_POLICY = RetryPolicy(max_attempts=2, base_delay=0.05)
+from repro.faults.scenario import (
+    CONTROL,
+    DESTINATION,
+    SOURCE,
+    World,
+    WorldSpec,
+    arm,
+    build_world,
+    check_invariants,
+    disarm,
+    members,
+    migrate,
+    recover,
+    reinstall,
+)
 
 #: How many times the adversary re-presses a claim that was denied only
 #: transiently (deny-by-default while the registry/network was unreachable).
 ADVERSARY_RETRIES = 3
 
-
-@dataclass
-class CloneWorld:
-    """A data center with guarded apps, registry-attached MEs, and a
-    dedicated control machine holding the single-instance registry."""
-
-    dc: DataCenter
-    apps: list[MigratableApp]
-    counter_ids: list
-    me_signer: SigningKey
-    dev_key: SigningKey
-    registry: SingleInstanceRegistry
-    session_resumption: bool = False
-
-    @property
-    def app(self) -> MigratableApp:
-        return self.apps[0]
-
-    @property
-    def counter_id(self):
-        return self.counter_ids[0]
+#: The campaigns that launch their clone at a message of the victim
+#: migration, each with the label prefix of its clone's VM and app.
+WINDOW_CAMPAIGNS = {
+    "restore-window": "restore-clone",
+    "wave-double-join": "wave-clone",
+    "stale-session-replay": "replay-clone",
+}
 
 
 @dataclass
@@ -125,127 +105,51 @@ class CloneCampaignReport:
 
 
 # ------------------------------------------------------------------ worlds
-def build_clone_world(
-    seed: int = 2018, *, apps: int = 1, session_resumption: bool = False
-) -> CloneWorld:
+def clone_spec(
+    seed: int = 2018, apps: int = 1, session_resumption: bool = False
+) -> WorldSpec:
     """Source + destination machines with durable, registry-attached MEs, a
-    control machine owning the :class:`SingleInstanceRegistry`, and
-    ``apps`` clone-guarded counter enclaves on the source."""
-    dc = DataCenter(name="clone", seed=seed)
-    dc.add_machine(SOURCE)
-    dc.add_machine(DESTINATION)
-    control = dc.add_machine(CONTROL)
-    registry = SingleInstanceRegistry(control.storage, dc.clock)
-    me_signer = SigningKey.generate(dc.rng.child("clone-me-signer"))
-    install_all_migration_enclaves(
-        dc,
-        me_signer,
-        durable=True,
+    control machine owning the single-instance registry, and ``apps``
+    clone-guarded counter enclaves on the source."""
+    return WorldSpec(
+        name="clone",
+        rng="clone",
+        machines=(SOURCE, DESTINATION, CONTROL),
+        apps=members(apps),
+        named=True,
+        seed=seed,
         session_resumption=session_resumption,
-        registry=registry,
+        guarded=True,
     )
-    dev_key = SigningKey.generate(dc.rng.child("clone-dev"))
-    deployed: list[MigratableApp] = []
-    counter_ids = []
-    for index in range(apps):
-        app = MigratableApp.deploy(
-            dc,
-            dc.machine(SOURCE),
-            MigratableBenchEnclave,
-            dev_key,
-            vm_name=f"clone-vm-{index}",
-            app_name=f"clone-app-{index}",
+
+
+def victim(
+    campaign: str, seed: int = 2018
+) -> tuple[World, bytes, Callable[[World], list]]:
+    """A window campaign's victim: its world, the adversary's snapshot of
+    app 0's sealed library state, and the victim migration — the action
+    both the campaign's probe and its run drive.
+
+    The stale-session world migrates app 0 first (after the snapshot),
+    warming the source ME's cached attested session, and reinstalls the
+    destination ME (fresh epoch); its victim migration is app 1's.
+    """
+    stale = campaign == "stale-session-replay"
+    world = build_world(
+        clone_spec(
+            seed,
+            apps=1 if campaign == "restore-window" else 2,
+            session_resumption=stale,
         )
-        app.retry_policy = ATTACK_POLICY
-        app.registry = registry
-        app.clone_guard = True
-        enclave = app.start_new()
-        # Pad counter ids so each app's tracked id is unique fleet-wide and
-        # the invariant check can attribute a surviving instance to its app.
-        for _ in range(index):
-            enclave.ecall("create_counter")
-        counter_id, _ = enclave.ecall("create_counter")
-        for _ in range(CLONE_COUNTER_TARGETS[index]):
-            enclave.ecall("increment_counter", counter_id)
-        deployed.append(app)
-        counter_ids.append(counter_id)
-    return CloneWorld(
-        dc=dc,
-        apps=deployed,
-        counter_ids=counter_ids,
-        me_signer=me_signer,
-        dev_key=dev_key,
-        registry=registry,
-        session_resumption=session_resumption,
     )
-
-
-def _attach_injector(world: CloneWorld, plan: FaultPlan) -> FaultInjector:
-    injector = FaultInjector(
-        plan=plan,
-        rng=world.dc.rng.child("clone-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    return injector
-
-
-# ------------------------------------------------------------------ probes
-def probe_restore_trace(seed: int = 2018) -> list[ObservedMessage]:
-    """Message trace of one fault-free *guarded* migration: every request
-    leg is a cloning window the restore campaign races."""
-    world = build_clone_world(seed)
-    injector = _attach_injector(world, FaultPlan())
-    result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    world.dc.network.fault_injector = None
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"probe migration did not complete: {result.outcome}")
-    return list(injector.trace)
-
-
-def probe_wave_trace(seed: int = 2018) -> list[ObservedMessage]:
-    """Message trace of one fault-free guarded two-member wave."""
-    world = build_clone_world(seed, apps=2)
-    injector = _attach_injector(world, FaultPlan())
-    results = MigratableApp.migrate_group(
-        world.apps, world.dc.machine(DESTINATION), migrate_vm=False
-    )
-    world.dc.network.fault_injector = None
-    for result in results:
-        if result.outcome is not MigrationOutcome.COMPLETED:
-            raise AssertionError(f"probe wave did not complete: {result.outcome}")
-    return list(injector.trace)
-
-
-def probe_stale_session_trace(seed: int = 2018) -> list[ObservedMessage]:
-    """Message trace of the second migration in the stale-session world:
-    app 0 migrated (warming the source ME's cached attested session), the
-    destination ME was reinstalled (fresh epoch), then app 1 migrates."""
-    world = build_clone_world(seed, apps=2, session_resumption=True)
-    _warm_and_reinstall(world)
-    injector = _attach_injector(world, FaultPlan())
-    result = world.apps[1].migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    world.dc.network.fault_injector = None
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"probe migration did not complete: {result.outcome}")
-    return list(injector.trace)
-
-
-def _warm_and_reinstall(world: CloneWorld) -> None:
-    """Migrate app 0 fault-free, then reinstall the destination ME so the
-    source ME's cached session points at a stale ME epoch."""
-    result = world.apps[0].migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"warm-up migration failed: {result.outcome}")
-    reinstall_migration_enclave(
-        world.dc,
-        world.dc.machine(DESTINATION),
-        world.me_signer,
-        durable=True,
-        session_resumption=world.session_resumption,
-        registry=world.registry,
-    )
+    snapshot = world.apps[0].stored_library_buffer()
+    if not stale:
+        return world, snapshot, migrate
+    warm = migrate(world, world.apps[:1])[0]
+    if warm.outcome is not MigrationOutcome.COMPLETED:
+        raise AssertionError(f"warm-up migration failed: {warm.outcome}")
+    reinstall(world, DESTINATION)
+    return world, snapshot, lambda w: migrate(w, w.apps[1:])
 
 
 # ------------------------------------------------------------- clone moves
@@ -258,7 +162,7 @@ def _terminate(app, enclave) -> None:
 
 
 def launch_clone(
-    world: CloneWorld, machine, stale_buffer: bytes, label: str
+    world: World, machine, stale_buffer: bytes, label: str
 ) -> tuple[str, object, object]:
     """One clone-launch attempt from a sealed library snapshot.
 
@@ -302,7 +206,7 @@ class _CloneCampaignState:
     """Shared mutable state between the hook, the press-home retries, and
     the report: the attacker's first-attempt timestamp and latest result."""
 
-    def __init__(self, world: CloneWorld, machine, stale_buffer: bytes, label: str):
+    def __init__(self, world: World, machine, stale_buffer: bytes, label: str):
         self.world = world
         self.machine = machine
         self.stale_buffer = stale_buffer
@@ -350,122 +254,57 @@ class _CloneCampaignState:
             self.attempt()
             retries += 1
 
-
-def _resolve_clone(state: _CloneCampaignState, report: CloneCampaignReport) -> None:
-    """Fence-and-terminate resolution: a clone the registry accepted but
-    later fenced is destroyed; an accepted, *unfenced* clone is left alive
-    so the R3 check convicts the defense."""
-    registry = state.world.registry
-    if state.clone is None:
-        return
-    try:
-        identity = state.clone.ecall("guard_identity")
-    except ReproError:
-        identity = b""
-    record = registry.record_of(identity) if identity else None
-    if record is not None and record.fenced:
-        _terminate(state.clone_app, state.clone)
-        state.clone = None
-        report.timeline.append(
-            "fenced clone terminated; legitimate instance keeps serving"
+    def resolve(self, report: CloneCampaignReport, incidents_before: int) -> None:
+        """Fence-and-terminate resolution, then detection scoring: a clone
+        the registry accepted but later fenced is destroyed; an accepted,
+        *unfenced* clone is left alive so the R3 check convicts the
+        defense."""
+        if self.clone is not None:
+            try:
+                identity = self.clone.ecall("guard_identity")
+            except ReproError:
+                identity = b""
+            record = self.world.registry.record_of(identity) if identity else None
+            if record is not None and record.fenced:
+                _terminate(self.clone_app, self.clone)
+                self.clone = None
+                report.timeline.append(
+                    "fenced clone terminated; legitimate instance keeps serving"
+                )
+            else:
+                report.timeline.append(
+                    "accepted clone was never fenced — leaving it alive for the "
+                    "invariant check"
+                )
+        _score_detection(
+            self.world,
+            report,
+            incidents_before,
+            since=self.first_attempt_at,
+            fenced=self.clone is None,
         )
-    else:
-        report.timeline.append(
-            "accepted clone was never fenced — leaving it alive for the "
-            "invariant check"
-        )
+        report.clone_outcome = self.outcome or "not-attempted"
+        report.timeline.extend(self.log)
 
 
 def _score_detection(
-    state: _CloneCampaignState,
+    world: World,
     report: CloneCampaignReport,
     incidents_before: int,
+    since: float | None,
+    fenced: bool,
 ) -> None:
-    registry = state.world.registry
-    new_incidents = registry.incidents()[incidents_before:]
+    """Detected means the campaign left a registry incident; fenced means
+    the clone also lost; latency runs from ``since`` to the first incident."""
+    new_incidents = world.registry.incidents()[incidents_before:]
     report.detected = bool(new_incidents)
-    report.fenced = bool(new_incidents) and state.clone is None
-    if new_incidents and state.first_attempt_at is not None:
-        report.detection_latency = round(
-            new_incidents[0].time - state.first_attempt_at, 6
-        )
-    report.clone_outcome = state.outcome or "not-attempted"
-    report.timeline.extend(state.log)
+    report.fenced = report.detected and fenced
+    if new_incidents and since is not None:
+        report.detection_latency = round(new_incidents[0].time - since, 6)
     if not report.detected:
-        report.violations.append(
-            "defense: clone attempt left no registry incident"
-        )
+        report.violations.append("defense: clone left no registry incident")
     elif not report.fenced:
         report.violations.append("defense: detected clone was never fenced")
-
-
-# --------------------------------------------------------------- invariants
-def check_clone_invariants(world: CloneWorld) -> list[str]:
-    """R3/R4 per app, ECALL-only, clones included: every alive bench
-    enclave anywhere in the data center is probed, and an instance belongs
-    to app ``i`` when it serves app ``i``'s tracked counter id but no
-    higher tracked id (ids are padded to be strictly increasing)."""
-    violations: list[str] = []
-    readings: list[dict[int, int]] = []
-    for machine in world.dc.machines.values():
-        for enclave in machine.enclaves:
-            if enclave.enclave_class is not MigratableBenchEnclave:
-                continue
-            if not enclave.alive:
-                continue
-            served: dict[int, int] = {}
-            for counter_id in world.counter_ids:
-                try:
-                    served[counter_id] = enclave.ecall("read_counter", counter_id)
-                except ReproError:
-                    continue
-            if served:
-                readings.append(served)
-    for index, counter_id in enumerate(world.counter_ids):
-        target = CLONE_COUNTER_TARGETS[index]
-        higher = set(world.counter_ids[index + 1 :])
-        serving = [
-            served[counter_id]
-            for served in readings
-            if counter_id in served and not (higher & served.keys())
-        ]
-        label = f"enclave {index}"
-        if len(serving) > 1:
-            violations.append(
-                f"R3: {len(serving)} operational instances serve {label}"
-            )
-        if not serving:
-            violations.append(f"liveness: no operational instance serves {label}")
-        else:
-            value = serving[0]
-            if value < target:
-                violations.append(
-                    f"R4: {label} counter regressed to {value} (expected {target})"
-                )
-            elif value > target:
-                violations.append(
-                    f"{label} counter advanced to {value} without increments "
-                    f"(expected {target})"
-                )
-    return violations
-
-
-def _recover(world: CloneWorld, report: CloneCampaignReport) -> None:
-    """Drive every interrupted member to completion (bounded resumes)."""
-    outcomes: list[str] = []
-    for app in world.apps:
-        state = "ok"
-        for _ in range(3):
-            try:
-                result = app.resume(migrate_vm=False)
-            except ReproError as exc:
-                state = f"error:{type(exc).__name__}"
-                break
-            state = result.outcome.name
-            if result.outcome is MigrationOutcome.COMPLETED:
-                break
-        outcomes.append(state)
-    report.recovery_outcome = ",".join(outcomes)
 
 
 # ---------------------------------------------------------------- campaigns
@@ -481,143 +320,68 @@ def _window_plan(
     return plan.hook(state.hook, nth=window_seq)
 
 
-def run_restore_window_campaign(
+def run_window_campaign(
+    campaign: str,
     window_seq: int,
     fault: str = "none",
     fault_seq: int = -1,
     seed: int = 2018,
     window_label: str = "",
 ) -> CloneCampaignReport:
-    """Second instance during the RESTORE window: at message ``window_seq``
-    of a guarded migration, a clone restores the adversary's pre-migration
-    snapshot of the sealed library state on the source machine."""
+    """At message ``window_seq`` of the victim migration, a clone restores
+    the adversary's pre-migration snapshot of app 0 on the source:
+
+    * ``restore-window`` — second instance during a guarded migration's
+      RESTORE window;
+    * ``wave-double-join`` — while two members move through one staged
+      ``transfer_batch`` exchange, a clone of member 0 claims RESTORE;
+    * ``stale-session-replay`` — the source ME holds a cached attested
+      session to a since-reinstalled destination ME (fresh epoch), so app
+      1's migration must fall back to full remote attestation while a clone
+      of the already-migrated app 0 claims its old identity.
+    """
     report = CloneCampaignReport(
-        campaign="restore-window",
-        window=window_label or str(window_seq),
-        fault=fault,
+        campaign=campaign, window=window_label or str(window_seq), fault=fault
     )
-    world = build_clone_world(seed)
-    dc = world.dc
-    stale_buffer = world.app.stored_library_buffer()
+    world, snapshot, action = victim(campaign, seed)
+    if campaign == "stale-session-replay":
+        report.timeline.append(
+            "app 0 migrated; destination ME reinstalled (cached session is "
+            "now bound to a stale ME epoch)"
+        )
     state = _CloneCampaignState(
-        world, dc.machine(SOURCE), stale_buffer, "restore-clone"
+        world, world.dc.machine(SOURCE), snapshot, WINDOW_CAMPAIGNS[campaign]
     )
     incidents_before = world.registry.incident_count()
-    _attach_injector(world, _window_plan(state, window_seq, fault, fault_seq))
+    injector = arm(world, _window_plan(state, window_seq, fault, fault_seq))
     try:
-        result = world.app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        report.migrate_outcome = result.outcome.name
+        results = action(world)
+        report.migrate_outcome = ",".join(r.outcome.name for r in results)
+        completed = all(r.outcome is MigrationOutcome.COMPLETED for r in results)
     except ReproError as exc:
         report.migrate_outcome = f"error:{type(exc).__name__}"
+        completed = False
     # Keep the injector installed while recovering: occurrence counting
     # continues, so a window later than the fault position opens during the
     # resume pass — the clone races the *recovery*, not just the protocol.
-    if report.migrate_outcome != "COMPLETED":
-        _recover(world, report)
-    dc.network.fault_injector = None
+    if not completed:
+        report.recovery_outcome, _ = recover(world, attempts=3)
+    disarm(world)
     state.press_home()
-    _resolve_clone(state, report)
-    _score_detection(state, report, incidents_before)
-    report.violations.extend(check_clone_invariants(world))
-    return report
-
-
-def run_wave_double_join_campaign(
-    window_seq: int,
-    fault: str = "none",
-    fault_seq: int = -1,
-    seed: int = 2018,
-    window_label: str = "",
-) -> CloneCampaignReport:
-    """Double-join a batched wave: while two members move through one
-    staged ``transfer_batch`` exchange, a clone of member 0 (pre-wave
-    snapshot) claims RESTORE on the source at message ``window_seq``."""
-    report = CloneCampaignReport(
-        campaign="wave-double-join",
-        window=window_label or str(window_seq),
-        fault=fault,
-    )
-    world = build_clone_world(seed, apps=2)
-    dc = world.dc
-    stale_buffer = world.apps[0].stored_library_buffer()
-    state = _CloneCampaignState(
-        world, dc.machine(SOURCE), stale_buffer, "wave-clone"
-    )
-    incidents_before = world.registry.incident_count()
-    _attach_injector(world, _window_plan(state, window_seq, fault, fault_seq))
-    try:
-        results = MigratableApp.migrate_group(
-            world.apps, dc.machine(DESTINATION), migrate_vm=False
-        )
-        report.migrate_outcome = ",".join(r.outcome.name for r in results)
-    except ReproError as exc:
-        report.migrate_outcome = f"error:{type(exc).__name__}"
-    if report.migrate_outcome != "COMPLETED,COMPLETED":
-        _recover(world, report)
-    dc.network.fault_injector = None
-    state.press_home()
-    _resolve_clone(state, report)
-    _score_detection(state, report, incidents_before)
-    report.violations.extend(check_clone_invariants(world))
-    return report
-
-
-def run_stale_session_replay_campaign(
-    window_seq: int,
-    fault: str = "none",
-    fault_seq: int = -1,
-    seed: int = 2018,
-    window_label: str = "",
-) -> CloneCampaignReport:
-    """Replay against a stale ME epoch: the source ME holds a cached
-    attested session to the destination ME, the destination ME is
-    reinstalled (fresh epoch invalidates the session), and a second
-    migration must fall back to full remote attestation — while a clone of
-    the already-migrated app 0 claims its old identity on the source."""
-    report = CloneCampaignReport(
-        campaign="stale-session-replay",
-        window=window_label or str(window_seq),
-        fault=fault,
-    )
-    world = build_clone_world(seed, apps=2, session_resumption=True)
-    dc = world.dc
-    # Adversary snapshot of app 0 before it migrates away.
-    stale_buffer = world.apps[0].stored_library_buffer()
-    _warm_and_reinstall(world)
-    report.timeline.append(
-        "app 0 migrated; destination ME reinstalled (cached session is "
-        "now bound to a stale ME epoch)"
-    )
-    state = _CloneCampaignState(
-        world, dc.machine(SOURCE), stale_buffer, "replay-clone"
-    )
-    incidents_before = world.registry.incident_count()
-    injector = _attach_injector(
-        world, _window_plan(state, window_seq, fault, fault_seq)
-    )
-    try:
-        result = world.apps[1].migrate(dc.machine(DESTINATION), migrate_vm=False)
-        report.migrate_outcome = result.outcome.name
-    except ReproError as exc:
-        report.migrate_outcome = f"error:{type(exc).__name__}"
-    if report.migrate_outcome != "COMPLETED":
-        _recover(world, report)
-    dc.network.fault_injector = None
-    state.press_home()
-    _resolve_clone(state, report)
-    _score_detection(state, report, incidents_before)
-    # The stale cached session must NOT have been accepted: the second
-    # migration re-runs the full remote-attestation handshake.
-    if not any(leg.msg_type == "ra_msg1" for leg in injector.trace):
-        report.violations.append(
-            "stale cached session accepted by a reinstalled ME (no full-RA "
-            "fallback observed)"
-        )
-    else:
-        report.timeline.append(
-            "full remote attestation re-ran against the reinstalled ME"
-        )
-    report.violations.extend(check_clone_invariants(world))
+    state.resolve(report, incidents_before)
+    if campaign == "stale-session-replay":
+        # The stale cached session must NOT have been accepted: the second
+        # migration re-runs the full remote-attestation handshake.
+        if not any(leg.msg_type == "ra_msg1" for leg in injector.trace):
+            report.violations.append(
+                "stale cached session accepted by a reinstalled ME (no full-RA "
+                "fallback observed)"
+            )
+        else:
+            report.timeline.append(
+                "full remote attestation re-ran against the reinstalled ME"
+            )
+    report.violations.extend(check_invariants(world))
     return report
 
 
@@ -644,25 +408,27 @@ def run_healed_disk_campaign(
     report = CloneCampaignReport(
         campaign="healed-disk", window=window, fault=fault
     )
-    world = build_clone_world(seed)
-    dc = world.dc
-    source = dc.machine(SOURCE)
-    result = world.app.migrate(dc.machine(DESTINATION), migrate_vm=False)
+    world = build_world(clone_spec(seed))
+    result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
     report.migrate_outcome = result.outcome.name
     if result.outcome is not MigrationOutcome.COMPLETED:
         report.violations.append("setup migration did not complete")
         return report
     incidents_before = world.registry.incident_count()
-    plan = FaultPlan().drop(nth=1) if fault == "drop" else FaultPlan()
-    _attach_injector(world, plan)
+    arm(world, FaultPlan().drop(nth=1) if fault == "drop" else FaultPlan())
     if window == "me-checkpoint":
         beat_at = _healed_me_checkpoint(world, report)
-        dc.network.fault_injector = None
-        _score_me_detection(world, report, incidents_before, beat_at)
+        _score_detection(
+            world,
+            report,
+            incidents_before,
+            since=beat_at,
+            fenced=report.clone_outcome.startswith("denied:"),
+        )
     else:
-        _healed_library_blob(world, source, window, report, incidents_before)
-        dc.network.fault_injector = None
-    report.violations.extend(check_clone_invariants(world))
+        _healed_library_blob(world, window, report).resolve(report, incidents_before)
+    disarm(world)
+    report.violations.extend(check_invariants(world))
     return report
 
 
@@ -671,15 +437,11 @@ def _library_blob_path(app: MigratableApp) -> str:
 
 
 def _healed_library_blob(
-    world: CloneWorld,
-    source,
-    window: str,
-    report: CloneCampaignReport,
-    incidents_before: int,
-) -> None:
+    world: World, window: str, report: CloneCampaignReport
+) -> _CloneCampaignState:
     """Heal/replay the migrated-away library blob and press clones from
     progressively older versions until the registry adjudicates."""
-    dc = world.dc
+    source = world.dc.machine(SOURCE)
     path = _library_blob_path(world.app)
     if window == "tombstone-heal":
         source.storage.heal(path + "*")
@@ -703,11 +465,10 @@ def _healed_library_blob(
             state.press_home()
             if _adjudicated(state.outcome):
                 break
-    _resolve_clone(state, report)
-    _score_detection(state, report, incidents_before)
+    return state
 
 
-def _beat_destination(world: CloneWorld) -> dict:
+def _beat_destination(world: World) -> dict:
     """One heartbeat against the destination ME over the network (the
     durable path: the ME checkpoints after every handled message)."""
     reply = world.app.app.send(
@@ -717,7 +478,7 @@ def _beat_destination(world: CloneWorld) -> dict:
     return wire.decode(reply)
 
 
-def _healed_me_checkpoint(world: CloneWorld, report: CloneCampaignReport) -> float:
+def _healed_me_checkpoint(world: World, report: CloneCampaignReport) -> float:
     """Roll the destination ME's sealed checkpoint back below heartbeats
     the registry has already seen, then power-cycle and reinstall."""
     dc = world.dc
@@ -752,14 +513,7 @@ def _healed_me_checkpoint(world: CloneWorld, report: CloneCampaignReport) -> flo
     report.timeline.append(
         "machine crashed; ME checkpoint blobs replayed to the pre-beat image"
     )
-    host = reinstall_migration_enclave(
-        dc,
-        destination,
-        world.me_signer,
-        durable=True,
-        session_resumption=world.session_resumption,
-        registry=world.registry,
-    )
+    host = reinstall(world, DESTINATION)
     # The app enclave died with the machine; its guarded relaunch is the
     # legitimate takeover (dead holder, fresh epoch claim).
     try:
@@ -786,22 +540,3 @@ def _healed_me_checkpoint(world: CloneWorld, report: CloneCampaignReport) -> flo
     except TransientError:
         report.clone_outcome = "denied-transient:TransientError"
     return beat_at
-
-
-def _score_me_detection(
-    world: CloneWorld,
-    report: CloneCampaignReport,
-    incidents_before: int,
-    beat_at: float,
-) -> None:
-    new_incidents = world.registry.incidents()[incidents_before:]
-    report.detected = bool(new_incidents)
-    report.fenced = report.detected and report.clone_outcome.startswith("denied:")
-    if new_incidents:
-        report.detection_latency = round(new_incidents[0].time - beat_at, 6)
-    if not report.detected:
-        report.violations.append(
-            "defense: rolled-back ME checkpoint left no registry incident"
-        )
-    elif not report.fenced:
-        report.violations.append("defense: regressed ME was never fenced")

@@ -12,7 +12,8 @@ model (torn/lost writes, bit rot, stale reads).  The
 :mod:`repro.faults.chaos` harness builds on this to sweep drop and crash
 faults over every message of a full enclave migration — and, with
 ``--disk``, every storage fault over every persisted artifact — and check
-the paper's R3/R4 invariants after recovery.
+the paper's R3/R4 invariants after recovery; every grid runs on the one
+scenario engine in :mod:`repro.faults.scenario`.
 """
 
 from repro.faults.injector import (

@@ -61,70 +61,48 @@ end with R3/R4 intact, the clone detected AND fenced by the
 single-instance registry, and the per-scenario detection latency (virtual
 seconds) is reported in the summary.
 
-Exit status 1 means at least one swept scenario violated an invariant.
+Every grid runs on the one engine in :mod:`repro.faults.scenario` (world
+builder, fault arming, recovery step, R3/R4 oracle); this module holds the
+grid enumerators and the CLI.  Exit status 1 means at least one swept
+scenario violated an invariant; 2 means a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
+from typing import Callable, NamedTuple
 
-from repro.apps.counter_app import MigratableBenchEnclave
-from repro.cloud.datacenter import DataCenter
-from repro.core.protocol import (
-    MigratableApp,
-    install_all_migration_enclaves,
-    reinstall_migration_enclave,
-)
 from repro.core.result import MigrationOutcome
-from repro.core.retry import RetryPolicy
-from repro.errors import MigrationError, ReproError
-from repro.faults.injector import FaultInjector, ObservedMessage
+from repro.errors import ReproError
+from repro.faults.injector import ObservedMessage
 from repro.faults.plan import DISK_FAULT_KINDS, FaultPlan
+from repro.faults.scenario import (
+    DESTINATION,
+    POLICY,
+    SOURCE,
+    AppSpec,
+    World,
+    WorldSpec,
+    arm,
+    build_world,
+    check_invariants,
+    disarm,
+    first_per_cell,
+    members,
+    migrate,
+    probe,
+    recover,
+    reinstall,
+    serving,
+)
 from repro.fleet import FleetConstraints, FleetService
-from repro.sgx.identity import SigningKey
-
-SOURCE = "machine-a"
-DESTINATION = "machine-b"
-
-#: The counter value the enclave reaches before migrating; R4 requires the
-#: surviving instance to read back exactly this value.
-COUNTER_TARGET = 3
-
-#: Counter values for the two wave members in ``--batched`` sweeps; distinct
-#: values so a cross-enclave state mix-up shows up as an R4 violation.
-BATCH_COUNTER_TARGETS = (3, 5)
-
-#: Small retry budget so scenarios where retries cannot help fail fast into
-#: the resume path instead of burning sweep wall-clock.
-SWEEP_POLICY = RetryPolicy(max_attempts=2, base_delay=0.05)
 
 #: The fault kinds the sweep applies at every message position.  Duplicates
 #: only make sense on request legs (the network layer re-delivers requests).
 DEFAULT_KINDS = ("drop", "duplicate", "crash-source", "crash-dest")
-
-
-@dataclass
-class ChaosWorld:
-    """One freshly built two-machine data center ready to migrate."""
-
-    dc: DataCenter
-    app: MigratableApp
-    counter_id: int
-    me_signer: SigningKey
-    session_resumption: bool = False
-
-
-@dataclass
-class BatchChaosWorld:
-    """Two machines, two migratable enclaves staged for one wave."""
-
-    dc: DataCenter
-    apps: list[MigratableApp]
-    counter_ids: list
-    me_signer: SigningKey
-    session_resumption: bool = False
 
 
 @dataclass
@@ -144,51 +122,37 @@ class ScenarioReport:
         return not self.violations
 
 
-def build_world(seed: int = 2018, session_resumption: bool = False) -> ChaosWorld:
-    """Two machines, durable MEs on both, one counter enclave at
-    ``COUNTER_TARGET`` on the source."""
-    dc = DataCenter(name="chaos", seed=seed)
-    dc.add_machine(SOURCE)
-    dc.add_machine(DESTINATION)
-    me_signer = SigningKey.generate(dc.rng.child("chaos-me-signer"))
-    install_all_migration_enclaves(
-        dc, me_signer, durable=True, session_resumption=session_resumption
-    )
-    dev_key = SigningKey.generate(dc.rng.child("chaos-dev"))
-    app = MigratableApp.deploy(
-        dc, dc.machine(SOURCE), MigratableBenchEnclave, dev_key
-    )
-    app.retry_policy = SWEEP_POLICY
-    enclave = app.start_new()
-    counter_id, _ = enclave.ecall("create_counter")
-    for _ in range(COUNTER_TARGET):
-        enclave.ecall("increment_counter", counter_id)
-    return ChaosWorld(
-        dc=dc,
-        app=app,
-        counter_id=counter_id,
-        me_signer=me_signer,
+def network_spec(
+    seed: int = 2018, session_resumption: bool = False, batched: bool = False
+) -> WorldSpec:
+    """The base grid's one counter enclave on the source, or with
+    ``batched`` the two wave members at distinct counter targets."""
+    return WorldSpec(
+        apps=members(2 if batched else 1),
+        named=batched,
+        seed=seed,
         session_resumption=session_resumption,
     )
 
 
-def probe_message_sequence(
-    seed: int = 2018, session_resumption: bool = False
-) -> list[ObservedMessage]:
-    """Record the full message trace of one fault-free migration."""
-    world = build_world(seed, session_resumption)
-    injector = FaultInjector(
-        plan=FaultPlan(),
-        rng=world.dc.rng.child("chaos-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    world.dc.network.fault_injector = None
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"probe migration did not complete: {result.outcome}")
-    return list(injector.trace)
+def enumerate_scenarios(
+    seed: int = 2018,
+    kinds: tuple[str, ...] = DEFAULT_KINDS,
+    session_resumption: bool = False,
+    batched: bool = False,
+) -> list[tuple[str, ObservedMessage, int]]:
+    """Every message of the probed migration (or wave) under every fault
+    kind, as ``(kind, leg, request ordinal)``."""
+    trace = probe(build_world(network_spec(seed, session_resumption, batched))).trace
+    scenarios = []
+    request_ordinal = 0
+    for leg in trace:
+        for kind in kinds:
+            if kind != "duplicate" or leg.direction == "request":
+                scenarios.append((kind, leg, request_ordinal))
+        if leg.direction == "request":
+            request_ordinal += 1
+    return scenarios
 
 
 def _plan_for(
@@ -214,46 +178,15 @@ def _plan_for(
     raise ValueError(f"unknown fault kind {kind!r}")
 
 
-def _serving_instances(world: ChaosWorld) -> list[tuple]:
-    """Every ``(enclave, counter value)`` currently serving the tracked
-    counter — the ECALL-only probe R3/R4 and the app-state check share."""
-    serving: list[tuple] = []
-    for machine in world.dc.machines.values():
-        for enclave in machine.enclaves:
-            if enclave.enclave_class is not MigratableBenchEnclave:
-                continue
-            if not enclave.alive:
-                continue
-            try:
-                value = enclave.ecall("read_counter", world.counter_id)
-            except ReproError:
-                continue
-            serving.append((enclave, value))
-    return serving
-
-
-def check_invariants(world: ChaosWorld) -> list[str]:
-    """R3/R4 via ECALLs only: an *operational instance* is a loaded, alive
-    enclave of the application class that serves the counter read.  Frozen,
-    uninitialized, or crashed instances refuse the read and do not count."""
-    violations: list[str] = []
-    serving = [value for _, value in _serving_instances(world)]
-    if len(serving) > 1:
-        violations.append(f"R3: {len(serving)} operational instances survive")
-    if not serving:
-        violations.append("liveness: no operational instance after recovery")
-    else:
-        value = serving[0]
-        if value < COUNTER_TARGET:
-            violations.append(
-                f"R4: counter regressed to {value} (expected {COUNTER_TARGET})"
-            )
-        elif value > COUNTER_TARGET:
-            violations.append(
-                f"counter advanced to {value} without increments "
-                f"(expected {COUNTER_TARGET})"
-            )
-    return violations
+def _migrate(world: World) -> tuple[str, bool]:
+    """Migrate every tracked app inside the armed fault window; returns the
+    outcome label and whether every member completed."""
+    try:
+        outcomes = [result.outcome for result in migrate(world)]
+    except ReproError as exc:
+        return f"raised:{type(exc).__name__}", False
+    completed = all(o is MigrationOutcome.COMPLETED for o in outcomes)
+    return "+".join(o.value for o in outcomes), completed
 
 
 def run_scenario(
@@ -262,44 +195,21 @@ def run_scenario(
     request_ordinal: int,
     seed: int = 2018,
     session_resumption: bool = False,
+    batched: bool = False,
 ) -> ScenarioReport:
     """Fresh world, one fault at ``leg``, recovery, invariant check."""
-    world = build_world(seed, session_resumption)
-    dc, app = world.dc, world.app
+    world = build_world(network_spec(seed, session_resumption, batched))
     plan, crashed = _plan_for(kind, leg, request_ordinal)
-    dc.network.fault_injector = FaultInjector(
-        plan=plan,
-        rng=dc.rng.child("chaos-faults"),
-        machines=dict(dc.machines),
-        meter=dc.meter,
-    )
-    try:
-        result = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        migrate_outcome = result.outcome.value
-        completed = result.outcome is MigrationOutcome.COMPLETED
-    except ReproError as exc:
-        migrate_outcome = f"raised:{type(exc).__name__}"
-        completed = False
-
+    arm(world, plan)
+    migrate_outcome, completed = _migrate(world)
     # Recovery: the fault window is over, the operator reinstalls the ME on
-    # any crashed machine (its durable checkpoint survives on disk), and the
-    # application resumes the journalled migration.
-    dc.network.fault_injector = None
-    recovery_outcome = "not-needed"
-    if not completed:
-        for name in crashed:
-            reinstall_migration_enclave(
-                dc,
-                dc.machine(name),
-                world.me_signer,
-                session_resumption=world.session_resumption,
-            )
-        try:
-            resumed = app.resume(migrate_vm=False)
-            recovery_outcome = resumed.outcome.value
-        except ReproError as exc:
-            recovery_outcome = f"raised:{type(exc).__name__}"
-
+    # any crashed machine (its durable checkpoint survives on disk), and each
+    # member resumes its own journalled migration — a crash mid-wave must
+    # leave every transaction independently resumable.
+    disarm(world)
+    recovery_outcome, failed = (
+        recover(world, crashed) if not completed else ("not-needed", False)
+    )
     report = ScenarioReport(
         kind=kind,
         seq=leg.seq,
@@ -308,7 +218,7 @@ def run_scenario(
         migrate_outcome=migrate_outcome,
         recovery_outcome=recovery_outcome,
     )
-    if recovery_outcome.startswith("raised:"):
+    if failed:
         report.violations.append(f"recovery failed: {recovery_outcome}")
     report.violations.extend(check_invariants(world))
     return report
@@ -318,256 +228,15 @@ def sweep(
     seed: int = 2018,
     kinds: tuple[str, ...] = DEFAULT_KINDS,
     session_resumption: bool = False,
+    batched: bool = False,
 ) -> list[ScenarioReport]:
-    """Every message of the migration sequence under every fault kind."""
-    trace = probe_message_sequence(seed, session_resumption)
-    reports: list[ScenarioReport] = []
-    request_ordinal = 0
-    for leg in trace:
-        for kind in kinds:
-            if kind == "duplicate" and leg.direction != "request":
-                continue
-            reports.append(
-                run_scenario(kind, leg, request_ordinal, seed, session_resumption)
-            )
-        if leg.direction == "request":
-            request_ordinal += 1
-    return reports
-
-
-# ------------------------------------------------------------------ batched
-def build_batched_world(
-    seed: int = 2018, session_resumption: bool = False
-) -> BatchChaosWorld:
-    """Two machines, durable MEs, two counter enclaves on the source with
-    distinct counter values (``BATCH_COUNTER_TARGETS``)."""
-    dc = DataCenter(name="chaos", seed=seed)
-    dc.add_machine(SOURCE)
-    dc.add_machine(DESTINATION)
-    me_signer = SigningKey.generate(dc.rng.child("chaos-me-signer"))
-    install_all_migration_enclaves(
-        dc, me_signer, durable=True, session_resumption=session_resumption
-    )
-    dev_key = SigningKey.generate(dc.rng.child("chaos-dev"))
-    apps: list[MigratableApp] = []
-    counter_ids = []
-    for index, target in enumerate(BATCH_COUNTER_TARGETS):
-        app = MigratableApp.deploy(
-            dc,
-            dc.machine(SOURCE),
-            MigratableBenchEnclave,
-            dev_key,
-            vm_name=f"chaos-vm-{index}",
-            app_name=f"chaos-app-{index}",
+    """Every message of the migration (or wave) under every fault kind."""
+    return [
+        run_scenario(kind, leg, ordinal, seed, session_resumption, batched)
+        for kind, leg, ordinal in enumerate_scenarios(
+            seed, kinds, session_resumption, batched
         )
-        app.retry_policy = SWEEP_POLICY
-        enclave = app.start_new()
-        # Counter ids are sequential *per enclave*, so both apps would get
-        # id 0; padding app ``index`` with ``index`` extra counters makes its
-        # tracked counter id unique, letting the invariant check attribute a
-        # surviving instance to its app by the id set it serves.
-        for _ in range(index):
-            enclave.ecall("create_counter")
-        counter_id, _ = enclave.ecall("create_counter")
-        for _ in range(target):
-            enclave.ecall("increment_counter", counter_id)
-        apps.append(app)
-        counter_ids.append(counter_id)
-    return BatchChaosWorld(
-        dc=dc,
-        apps=apps,
-        counter_ids=counter_ids,
-        me_signer=me_signer,
-        session_resumption=session_resumption,
-    )
-
-
-def probe_batched_message_sequence(
-    seed: int = 2018, session_resumption: bool = False
-) -> list[ObservedMessage]:
-    """Record the full message trace of one fault-free migration wave."""
-    world = build_batched_world(seed, session_resumption)
-    injector = FaultInjector(
-        plan=FaultPlan(),
-        rng=world.dc.rng.child("chaos-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    results = MigratableApp.migrate_group(
-        world.apps, world.dc.machine(DESTINATION), migrate_vm=False
-    )
-    world.dc.network.fault_injector = None
-    for result in results:
-        if result.outcome is not MigrationOutcome.COMPLETED:
-            raise AssertionError(
-                f"probe wave did not complete: {result.outcome}"
-            )
-    return list(injector.trace)
-
-
-def check_batched_invariants(world: BatchChaosWorld) -> list[str]:
-    """R3/R4 per wave member: each app's counter must be served by exactly
-    one operational instance, at exactly its pre-migration value.
-
-    An instance belongs to app ``i`` when it serves app ``i``'s tracked
-    counter id but no *higher* tracked id (ids are padded to be strictly
-    increasing across apps, so the highest readable id identifies the app).
-    """
-    violations: list[str] = []
-    # Probe every alive enclave once for each tracked id.
-    readings: list[dict[int, int]] = []
-    for machine in world.dc.machines.values():
-        for enclave in machine.enclaves:
-            if enclave.enclave_class is not MigratableBenchEnclave:
-                continue
-            if not enclave.alive:
-                continue
-            served: dict[int, int] = {}
-            for counter_id in world.counter_ids:
-                try:
-                    served[counter_id] = enclave.ecall("read_counter", counter_id)
-                except ReproError:
-                    continue
-            if served:
-                readings.append(served)
-    for index, counter_id in enumerate(world.counter_ids):
-        target = BATCH_COUNTER_TARGETS[index]
-        higher = set(world.counter_ids[index + 1 :])
-        serving = [
-            served[counter_id]
-            for served in readings
-            if counter_id in served and not (higher & served.keys())
-        ]
-        label = f"enclave {index}"
-        if len(serving) > 1:
-            violations.append(
-                f"R3: {len(serving)} operational instances serve {label}"
-            )
-        if not serving:
-            violations.append(
-                f"liveness: no operational instance serves {label}"
-            )
-        else:
-            value = serving[0]
-            if value < target:
-                violations.append(
-                    f"R4: {label} counter regressed to {value} (expected {target})"
-                )
-            elif value > target:
-                violations.append(
-                    f"{label} counter advanced to {value} without increments "
-                    f"(expected {target})"
-                )
-    return violations
-
-
-def run_batched_scenario(
-    kind: str,
-    leg: ObservedMessage,
-    request_ordinal: int,
-    seed: int = 2018,
-    session_resumption: bool = False,
-) -> ScenarioReport:
-    """Fresh world, one fault somewhere in the wave, per-app recovery,
-    per-app invariant check."""
-    world = build_batched_world(seed, session_resumption)
-    dc = world.dc
-    plan, crashed = _plan_for(kind, leg, request_ordinal)
-    dc.network.fault_injector = FaultInjector(
-        plan=plan,
-        rng=dc.rng.child("chaos-faults"),
-        machines=dict(dc.machines),
-        meter=dc.meter,
-    )
-    try:
-        results = MigratableApp.migrate_group(
-            world.apps, dc.machine(DESTINATION), migrate_vm=False
-        )
-        outcomes = [r.outcome for r in results]
-        migrate_outcome = "+".join(o.value for o in outcomes)
-        completed = all(o is MigrationOutcome.COMPLETED for o in outcomes)
-    except ReproError as exc:
-        migrate_outcome = f"raised:{type(exc).__name__}"
-        completed = False
-
-    # Recovery mirrors the sequential sweep, but drives each wave member's
-    # journal individually — a crash mid-batch must leave every transaction
-    # independently resumable.
-    dc.network.fault_injector = None
-    recovery_outcome = "not-needed"
-    if not completed:
-        for name in crashed:
-            reinstall_migration_enclave(
-                dc,
-                dc.machine(name),
-                world.me_signer,
-                session_resumption=world.session_resumption,
-            )
-        per_app: list[str] = []
-        for app in world.apps:
-            try:
-                resumed = app.resume(migrate_vm=False)
-                per_app.append(resumed.outcome.value)
-            except MigrationError as exc:
-                # A member whose migration already finished (e.g. the fault
-                # hit a sibling's leg) has a cleared journal; that is success,
-                # not a recovery failure.  If the fault then killed its new
-                # host, the enclave died *after* the protocol ended — an
-                # ordinary enclave crash, recovered by a restart from sealed
-                # state, not by migration resume.
-                if "no migration in progress" in str(exc):
-                    if app.enclave is not None and app.enclave.alive:
-                        per_app.append("already-complete")
-                    else:
-                        try:
-                            app.restart()
-                            per_app.append("restarted")
-                        except ReproError as restart_exc:
-                            per_app.append(
-                                f"raised:{type(restart_exc).__name__}"
-                            )
-                else:
-                    per_app.append(f"raised:{type(exc).__name__}")
-            except ReproError as exc:
-                per_app.append(f"raised:{type(exc).__name__}")
-        recovery_outcome = "+".join(per_app)
-
-    report = ScenarioReport(
-        kind=kind,
-        seq=leg.seq,
-        msg_type=leg.msg_type,
-        direction=leg.direction,
-        migrate_outcome=migrate_outcome,
-        recovery_outcome=recovery_outcome,
-    )
-    if "raised:" in recovery_outcome:
-        report.violations.append(f"recovery failed: {recovery_outcome}")
-    report.violations.extend(check_batched_invariants(world))
-    return report
-
-
-def sweep_batched(
-    seed: int = 2018,
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
-    session_resumption: bool = False,
-) -> list[ScenarioReport]:
-    """Every message of the wave sequence under every fault kind."""
-    trace = probe_batched_message_sequence(seed, session_resumption)
-    reports: list[ScenarioReport] = []
-    request_ordinal = 0
-    for leg in trace:
-        for kind in kinds:
-            if kind == "duplicate" and leg.direction != "request":
-                continue
-            reports.append(
-                run_batched_scenario(
-                    kind, leg, request_ordinal, seed, session_resumption
-                )
-            )
-        if leg.direction == "request":
-            request_ordinal += 1
-    return reports
+    ]
 
 
 # --------------------------------------------------------------------- disk
@@ -634,13 +303,19 @@ class DiskScenarioReport:
         return not self.violations
 
 
-def _store_app_state(world: ChaosWorld, plaintext: bytes) -> None:
+def _store_app_state(world: World, plaintext: bytes) -> None:
     blob = world.app.enclave.ecall("seal", plaintext)
     world.app.app.store(APP_STATE_PATH, blob)
 
 
-def _all_storages(world: ChaosWorld) -> list:
-    return [machine.storage for machine in world.dc.machines.values()]
+def _disk_probe_script(world: World) -> list:
+    """Seal v2 inside the window, migrate, and read the app blob back — the
+    read is part of the probed script, so read-kind scenarios can target it
+    (phase ``post-protocol``)."""
+    _store_app_state(world, APP_STATE_V2)
+    results = migrate(world)
+    world.dc.machine(SOURCE).storage.read(f"app/{APP_STATE_PATH}")
+    return results
 
 
 def _phase_of(msg_seq: int, trace: list[ObservedMessage]) -> str:
@@ -660,32 +335,6 @@ def _phase_of(msg_seq: int, trace: list[ObservedMessage]) -> str:
     return f"{leg.msg_type or 'reply'}/{leg.direction}"
 
 
-def probe_disk_operations(seed: int = 2018) -> tuple[list[ObservedMessage], list]:
-    """Fault-free run of the disk scenario script: seal v1, open the fault
-    window, seal v2, migrate, read the app blob back.  Returns the message
-    trace and every disk op observed inside the window."""
-    world = build_world(seed)
-    _store_app_state(world, APP_STATE_V1)
-    injector = FaultInjector(
-        plan=FaultPlan(),
-        rng=world.dc.rng.child("chaos-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    injector.attach_disk(_all_storages(world))
-    _store_app_state(world, APP_STATE_V2)
-    result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"disk probe migration did not complete: {result.outcome}")
-    # The verification read is part of the probed script, so read-kind
-    # scenarios can target it (phase "post-protocol").
-    world.dc.machine(SOURCE).storage.read(f"app/{APP_STATE_PATH}")
-    world.dc.network.fault_injector = None
-    injector.detach_disk(_all_storages(world))
-    return list(injector.trace), list(injector.disk_trace)
-
-
 def enumerate_disk_scenarios(seed: int = 2018) -> list[DiskScenario]:
     """Cross every persisted artifact with every disk fault kind, one
     scenario per distinct protocol phase the probe saw a matching op in.
@@ -696,7 +345,10 @@ def enumerate_disk_scenarios(seed: int = 2018) -> list[DiskScenario]:
     matching read and crash the artifact's machine at each distinct
     protocol step, so recovery itself must read through the damage.
     """
-    trace, disk_ops = probe_disk_operations(seed)
+    world = build_world(WorldSpec(seed=seed))
+    _store_app_state(world, APP_STATE_V1)
+    injector = probe(world, _disk_probe_script, disk=True)
+    trace, disk_ops = injector.trace, injector.disk_trace
     anchors: list[ObservedMessage] = []
     seen_types: set[str] = set()
     for leg in trace:
@@ -752,6 +404,15 @@ def enumerate_disk_scenarios(seed: int = 2018) -> list[DiskScenario]:
                             post_crash=False,
                         )
                     )
+    covered = {(s.artifact, s.kind) for s in scenarios}
+    missing = [
+        (artifact, kind)
+        for artifact, _, _ in DISK_ARTIFACTS
+        for kind in DISK_FAULT_KINDS
+        if (artifact, kind) not in covered
+    ]
+    if missing:
+        raise AssertionError(f"disk sweep lost (artifact, kind) coverage: {missing}")
     return scenarios
 
 
@@ -765,67 +426,14 @@ def _build_disk_plan(scenario: DiskScenario) -> FaultPlan:
     return plan
 
 
-def _recover_world(
-    world: ChaosWorld, crashed: list[str], scenario: DiskScenario
-) -> list[str]:
-    """Reinstall MEs on crashed machines, then resume/restart with bounded
-    self-healing: when a step dies with a typed error, restore the faulted
-    artifact's newest archived version (the backup/scrub an operator would
-    reach for) and try again."""
-    dc, app = world.dc, world.app
-    steps: list[str] = []
-    for name in crashed:
-        reinstall_migration_enclave(
-            dc,
-            dc.machine(name),
-            world.me_signer,
-            session_resumption=world.session_resumption,
-        )
-    for attempt in range(HEAL_ATTEMPTS):
-        try:
-            steps.append(app.resume(migrate_vm=False).outcome.value)
-            return steps
-        except MigrationError as exc:
-            failure: ReproError = exc
-            if "no migration in progress" in str(exc):
-                if app.enclave is not None and app.enclave.alive:
-                    steps.append("already-complete")
-                    return steps
-                try:
-                    app.restart()
-                    steps.append("restarted")
-                    return steps
-                except ReproError as restart_exc:
-                    failure = restart_exc
-        except ReproError as exc:
-            failure = exc
-        storage = dc.machine(scenario.machine).storage
-        healed = storage.heal(scenario.pattern)
-        if healed and "me_checkpoint" in scenario.pattern:
-            # A healed checkpoint only helps a *freshly booted* ME.
-            reinstall_migration_enclave(
-                dc,
-                dc.machine(scenario.machine),
-                world.me_signer,
-                session_resumption=world.session_resumption,
-            )
-        label = f"raised:{type(failure).__name__}"
-        if healed:
-            label += f"->healed[{len(healed)}]"
-        steps.append(label)
-        if not healed and attempt > 0:
-            break  # nothing left to heal and retrying alone did not help
-    return steps
-
-
-def _check_app_state(world: ChaosWorld) -> list[str]:
+def _check_app_state(world: World) -> list[str]:
     """The sealed app blob must decrypt, on the one surviving instance, to
     the *newest* write — healing the disk when the fault ate it.  Skipped
     when R3/liveness already failed (those violations say it all)."""
-    serving = _serving_instances(world)
-    if len(serving) != 1:
+    instances = serving(world)[0]
+    if len(instances) != 1:
         return []
-    enclave = serving[0][0]
+    enclave = instances[0][0]
     storage = world.dc.machine(SOURCE).storage
     path = f"app/{APP_STATE_PATH}"
     failure = "app state: never checked"
@@ -844,41 +452,42 @@ def _check_app_state(world: ChaosWorld) -> list[str]:
 def run_disk_scenario(scenario: DiskScenario, seed: int = 2018) -> DiskScenarioReport:
     """Fresh world, one armed disk fault (plus its crash, for write-side
     kinds), recovery with bounded healing, R3/R4 + recoverability checks."""
-    world = build_world(seed)
-    dc, app = world.dc, world.app
+    world = build_world(WorldSpec(seed=seed))
+    machine = world.dc.machine(scenario.machine)
     _store_app_state(world, APP_STATE_V1)
-    injector = FaultInjector(
-        plan=_build_disk_plan(scenario),
-        rng=dc.rng.child("chaos-faults"),
-        machines=dict(dc.machines),
-        meter=dc.meter,
-    )
-    dc.network.fault_injector = injector
-    injector.attach_disk(_all_storages(world))
+    injector = arm(world, _build_disk_plan(scenario), disk=True)
     _store_app_state(world, APP_STATE_V2)
-    crashed: list[str] = [scenario.machine] if scenario.crash_at is not None else []
-    try:
-        result = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        migrate_outcome = result.outcome.value
-        completed = result.outcome is MigrationOutcome.COMPLETED
-    except ReproError as exc:
-        migrate_outcome = f"raised:{type(exc).__name__}"
-        completed = False
-    dc.network.fault_injector = None
+    crashed = [scenario.machine] if scenario.crash_at is not None else []
+    migrate_outcome, completed = _migrate(world)
+    disarm(world)
     if scenario.post_crash:
         # The marked write had no later protocol step to crash at: pull the
         # plug the instant the protocol finishes.
-        dc.machine(scenario.machine).crash()
+        machine.crash()
         crashed = [scenario.machine]
         completed = False
     if DISK_FAULT_KINDS[scenario.kind] != "read":
         # Write-side damage is already recorded in the storage state; the
         # disk hook stays attached only for read kinds, whose whole point is
         # that *recovery* reads through the armed fault.
-        injector.detach_disk(_all_storages(world))
-    recovery_outcome = "not-needed"
-    if not completed:
-        recovery_outcome = "+".join(_recover_world(world, crashed, scenario))
+        disarm(world, injector)
+
+    def heal() -> list:
+        """Restore the faulted artifact's newest archived version (the
+        backup/scrub an operator would reach for)."""
+        healed = machine.storage.heal(scenario.pattern)
+        if healed and "me_checkpoint" in scenario.pattern:
+            # A healed checkpoint only helps a *freshly booted* ME.
+            reinstall(world, scenario.machine)
+        return healed
+
+    # Intermediate raises are fine — that is what the heal-and-retry loop is
+    # for; only a *final* raise means the world stayed unrecovered.
+    recovery_outcome, failed = (
+        recover(world, crashed, attempts=HEAL_ATTEMPTS, heal=heal)
+        if not completed
+        else ("not-needed", False)
+    )
     report = DiskScenarioReport(
         artifact=scenario.artifact,
         kind=scenario.kind,
@@ -888,72 +497,15 @@ def run_disk_scenario(scenario: DiskScenario, seed: int = 2018) -> DiskScenarioR
         migrate_outcome=migrate_outcome,
         recovery_outcome=recovery_outcome,
         corrupt_reads=sum(
-            machine.storage.journal_corruption_count
-            for machine in dc.machines.values()
+            m.storage.journal_corruption_count for m in world.dc.machines.values()
         ),
     )
-    # Intermediate raises are fine — that is what the heal-and-retry loop is
-    # for; only a *final* raise means the world stayed unrecovered.
-    if recovery_outcome.split("+")[-1].startswith("raised:"):
+    if failed:
         report.violations.append(f"recovery failed: {recovery_outcome}")
     report.violations.extend(check_invariants(world))
     report.violations.extend(_check_app_state(world))
-    injector.detach_disk(_all_storages(world))
+    disarm(world, injector)
     return report
-
-
-def sweep_disk(seed: int = 2018, smoke: bool = False) -> list[DiskScenarioReport]:
-    """Every persisted artifact x every disk fault kind x every protocol
-    phase the probe saw.  ``smoke`` keeps only the first scenario per
-    (artifact, kind) cell — the CI slice."""
-    scenarios = enumerate_disk_scenarios(seed)
-    covered = {(s.artifact, s.kind) for s in scenarios}
-    missing = [
-        (artifact, kind)
-        for artifact, _, _ in DISK_ARTIFACTS
-        for kind in DISK_FAULT_KINDS
-        if (artifact, kind) not in covered
-    ]
-    if missing:
-        raise AssertionError(f"disk sweep lost (artifact, kind) coverage: {missing}")
-    if smoke:
-        first: dict[tuple[str, str], DiskScenario] = {}
-        for scenario in scenarios:
-            first.setdefault((scenario.artifact, scenario.kind), scenario)
-        scenarios = list(first.values())
-    return [run_disk_scenario(scenario, seed) for scenario in scenarios]
-
-
-def _main_disk(seed: int, smoke: bool) -> int:
-    scenarios = enumerate_disk_scenarios(seed)
-    slice_note = " (smoke slice: first scenario per cell)" if smoke else ""
-    print(
-        f"disk fault sweep: {len(scenarios)} scenarios over "
-        f"{len(DISK_ARTIFACTS)} artifacts x {len(DISK_FAULT_KINDS)} fault kinds "
-        f"(seed {seed}){slice_note}"
-    )
-    reports = sweep_disk(seed, smoke=smoke)
-    failures = [r for r in reports if not r.ok]
-    unfired = sum(1 for r in reports if not r.fired)
-    for report in reports:
-        marker = "FAIL" if report.violations else "ok"
-        extras = f" corrupt-reads={report.corrupt_reads}" if report.corrupt_reads else ""
-        print(
-            f"  [{marker:>4}] {report.artifact:<20} {report.kind:<11} "
-            f"@ {report.phase:<24} fired={report.fired} "
-            f"migrate={report.migrate_outcome:<28} "
-            f"recovery={report.recovery_outcome}{extras}"
-        )
-        for violation in report.violations:
-            print(f"         !! {violation}")
-    print(
-        f"{len(reports)} scenarios, {len(failures)} invariant violations, "
-        f"{unfired} armed faults never reached "
-        f"(R3/R4 intact and world recoverable in every scenario)"
-        if not failures
-        else f"{len(reports)} scenarios, {len(failures)} invariant violations"
-    )
-    return 1 if failures else 0
 
 
 # -------------------------------------------------------------------- fleet
@@ -967,20 +519,12 @@ class _PlannerKilled(Exception):
     dying is an infrastructure event, not a protocol outcome)."""
 
 
-@dataclass
-class FleetChaosWorld:
-    dc: DataCenter
-    service: FleetService
-    apps: list[MigratableApp]
-    counter_ids: list[int]
-    counter_targets: list[int]
-
-
-def build_fleet_world(seed: int = 2018, dispatch: str = "serial") -> FleetChaosWorld:
-    """Four machines, durable MEs everywhere, eight counter enclaves placed
-    round-robin and registered with a :class:`FleetService` whose per-wave
-    cap of one move forces the drain into multiple waves (so there are
-    genuinely distinct wave boundaries to die at).
+def fleet_spec(seed: int = 2018, dispatch: str = "serial") -> WorldSpec:
+    """Four machines, eight counter enclaves placed round-robin (app ``i``
+    at counter target ``2 + i``) and registered with a
+    :class:`FleetService` whose per-wave cap of one move forces the drain
+    into multiple waves (so there are genuinely distinct wave boundaries to
+    die at).
 
     ``dispatch="concurrent"`` (or ``"pipelined"``) builds the
     overlapping-group variant instead: the per-wave caps are relaxed so the
@@ -988,11 +532,6 @@ def build_fleet_world(seed: int = 2018, dispatch: str = "serial") -> FleetChaosW
     records/replays them on the discrete-event scheduler — the planner then
     dies *between group dispatches* (the record phase's journal boundaries).
     """
-    dc = DataCenter(name="chaos-fleet", seed=seed)
-    for index in range(FLEET_MACHINES):
-        dc.add_machine(f"fleet-{index}")
-    me_signer = SigningKey.generate(dc.rng.child("chaos-me-signer"))
-    hosts = install_all_migration_enclaves(dc, me_signer, durable=True)
     constraints = (
         FleetConstraints(machine_capacity=FLEET_APPS, max_moves_per_machine=1)
         if dispatch == "serial"
@@ -1002,96 +541,23 @@ def build_fleet_world(seed: int = 2018, dispatch: str = "serial") -> FleetChaosW
             tenant_wave_quota=FLEET_APPS,
         )
     )
-    service = FleetService(
-        dc=dc,
-        hosts=hosts,
-        constraints=constraints,
-        retry_policy=SWEEP_POLICY,
+    return WorldSpec(
+        name="chaos-fleet",
+        machines=tuple(f"fleet-{index}" for index in range(FLEET_MACHINES)),
+        apps=tuple(
+            AppSpec(
+                host=f"fleet-{index % FLEET_MACHINES}",
+                target=2 + index,
+                tenant=f"tenant-{index % 2}",
+                group="chaos-pair" if index < 2 else None,
+            )
+            for index in range(FLEET_APPS)
+        ),
+        named=True,
+        seed=seed,
+        fleet=constraints,
         dispatch=dispatch,
     )
-    dev_key = SigningKey.generate(dc.rng.child("chaos-dev"))
-    apps: list[MigratableApp] = []
-    counter_ids: list[int] = []
-    counter_targets: list[int] = []
-    for index in range(FLEET_APPS):
-        app = MigratableApp.deploy(
-            dc,
-            dc.machine(f"fleet-{index % FLEET_MACHINES}"),
-            MigratableBenchEnclave,
-            dev_key,
-            vm_name=f"chaos-fleet-vm-{index}",
-            app_name=f"chaos-fleet-app-{index}",
-        )
-        app.retry_policy = SWEEP_POLICY
-        enclave = app.start_new()
-        # Same padded-id trick as the batched world, fleet-wide: app
-        # ``index`` serves tracked counter id ``index`` and nothing higher.
-        for _ in range(index):
-            enclave.ecall("create_counter")
-        counter_id, _ = enclave.ecall("create_counter")
-        target = 2 + index
-        for _ in range(target):
-            enclave.ecall("increment_counter", counter_id)
-        service.register(
-            app,
-            tenant=f"tenant-{index % 2}",
-            anti_affinity_group="chaos-pair" if index < 2 else None,
-        )
-        apps.append(app)
-        counter_ids.append(counter_id)
-        counter_targets.append(target)
-    return FleetChaosWorld(
-        dc=dc,
-        service=service,
-        apps=apps,
-        counter_ids=counter_ids,
-        counter_targets=counter_targets,
-    )
-
-
-def check_fleet_invariants(world: FleetChaosWorld) -> list[str]:
-    """R3/R4 per fleet member, via the padded-counter-id attribution used by
-    :func:`check_batched_invariants`, generalized to eight enclaves."""
-    violations: list[str] = []
-    readings: list[dict[int, int]] = []
-    for machine in world.dc.machines.values():
-        for enclave in machine.enclaves:
-            if enclave.enclave_class is not MigratableBenchEnclave:
-                continue
-            if not enclave.alive:
-                continue
-            served: dict[int, int] = {}
-            for counter_id in world.counter_ids:
-                try:
-                    served[counter_id] = enclave.ecall("read_counter", counter_id)
-                except ReproError:
-                    continue
-            if served:
-                readings.append(served)
-    for index, counter_id in enumerate(world.counter_ids):
-        target = world.counter_targets[index]
-        higher = set(world.counter_ids[index + 1 :])
-        serving = [
-            served[counter_id]
-            for served in readings
-            if counter_id in served and not (higher & served.keys())
-        ]
-        label = f"enclave {index}"
-        if len(serving) > 1:
-            violations.append(
-                f"R3: {len(serving)} operational instances serve {label}"
-            )
-        if not serving:
-            violations.append(
-                f"liveness: no operational instance serves {label}"
-            )
-        elif serving[0] != target:
-            word = "regressed" if serving[0] < target else "advanced"
-            violations.append(
-                f"R4: {label} counter {word} to {serving[0]} "
-                f"(expected {target})"
-            )
-    return violations
 
 
 @dataclass(frozen=True)
@@ -1139,7 +605,7 @@ def enumerate_fleet_scenarios(seed: int = 2018) -> list[FleetScenario]:
     the planner dies mid-overlapping-wave (the relaxed-cap world drains in
     one wave with several destination groups) — for pipelined, between the
     per-group journal boundaries the record phase writes."""
-    world = build_fleet_world(seed)
+    world = build_world(fleet_spec(seed))
     n_waves = len(world.service.plan_drain(FLEET_DRAIN_TARGET).waves)
     scenarios = [FleetScenario("planned", -1)]
     for wave in range(n_waves):
@@ -1169,21 +635,15 @@ def run_fleet_scenario(
     """Fresh fleet, drain plan, planner killed at the scenario's boundary,
     fresh planner resumes from the durable fleet journal; then R3/R4 per
     member, planned placement reached, and journal cleared."""
-    world = build_fleet_world(seed, dispatch=scenario.dispatch)
-    dc, service = world.dc, world.service
+    world = build_world(fleet_spec(seed, scenario.dispatch))
+    service = world.service
     plan = service.plan_drain(FLEET_DRAIN_TARGET)
-    destinations = {move.app_name: move.destination for move in plan.moves}
     matched = 0
 
     def boundary_hook(stage: str, wave: int) -> None:
         nonlocal matched
         if scenario.parked and stage == "started" and wave == scenario.wave:
-            dc.network.fault_injector = FaultInjector(
-                plan=FaultPlan().drop(max_triggers=1_000_000),
-                rng=dc.rng.child("chaos-faults"),
-                machines=dict(dc.machines),
-                meter=dc.meter,
-            )
+            arm(world, FaultPlan().drop(max_triggers=1_000_000))
         if stage == scenario.stage and wave == scenario.wave:
             matched += 1
             if matched > scenario.skip:
@@ -1199,16 +659,16 @@ def run_fleet_scenario(
     finally:
         # The planner is dead; the network partition (if any) heals before
         # the operator restarts it.
-        dc.network.fault_injector = None
+        disarm(world)
 
     # Planner restart: a brand-new service over the same data center (same
     # durable disks, same member registry) — nothing survives from the dead
     # process but what the fleet journal persisted.
     restarted = FleetService(
-        dc=dc,
+        dc=world.dc,
         hosts=service.hosts,
         constraints=service.constraints,
-        retry_policy=SWEEP_POLICY,
+        retry_policy=POLICY,
         members=dict(service.members),
         dispatch=service.dispatch,
     )
@@ -1234,7 +694,7 @@ def run_fleet_scenario(
         ":INCOMPLETE"
     ):
         report.violations.append(f"recovery failed: {recovery_outcome}")
-    report.violations.extend(check_fleet_invariants(world))
+    report.violations.extend(check_invariants(world))
     for move in plan.moves:
         actual = service.members[move.app_name].machine
         if actual != move.destination:
@@ -1245,46 +705,6 @@ def run_fleet_scenario(
     if restarted.journal().read() is not None:
         report.violations.append("fleet journal not cleared after resume")
     return report
-
-
-def sweep_fleet(seed: int = 2018, smoke: bool = False) -> list[FleetScenarioReport]:
-    """Every planner-kill boundary of the drain plan; ``smoke`` keeps the
-    first scenario per (stage, parked, concurrent) kind — the CI slice."""
-    scenarios = enumerate_fleet_scenarios(seed)
-    if smoke:
-        first: dict[tuple[str, bool, str], FleetScenario] = {}
-        for scenario in scenarios:
-            first.setdefault(
-                (scenario.stage, scenario.parked, scenario.dispatch), scenario
-            )
-        scenarios = list(first.values())
-    return [run_fleet_scenario(scenario, seed) for scenario in scenarios]
-
-
-def _main_fleet(seed: int, smoke: bool) -> int:
-    scenarios = enumerate_fleet_scenarios(seed)
-    slice_note = " (smoke slice: first scenario per boundary kind)" if smoke else ""
-    print(
-        f"fleet planner-kill sweep: {len(scenarios)} boundaries over a "
-        f"{FLEET_MACHINES}-machine / {FLEET_APPS}-enclave drain "
-        f"(seed {seed}){slice_note}"
-    )
-    reports = sweep_fleet(seed, smoke=smoke)
-    failures = [r for r in reports if not r.ok]
-    for report in reports:
-        marker = "FAIL" if report.violations else "ok"
-        print(
-            f"  [{marker:>4}] kill@{report.scenario.label:<20} "
-            f"apply={report.apply_outcome:<28} "
-            f"recovery={report.recovery_outcome}"
-        )
-        for violation in report.violations:
-            print(f"         !! {violation}")
-    print(
-        f"{len(reports)} scenarios, {len(failures)} invariant violations "
-        f"(R3/R4 per member, planned placement reached, journal cleared)"
-    )
-    return 1 if failures else 0
 
 
 # -------------------------------------------------------------------- clone
@@ -1310,54 +730,27 @@ def enumerate_clone_scenarios(seed: int = 2018) -> list[CloneScenario]:
     (replies deliver into a blocked sender, so the request positions are
     where a host-controlled adversary can act).  Drop variants re-race the
     same window while an earlier protocol leg is lost and the retry/resume
-    machinery is mid-recovery; the healed-disk campaign crosses its three
-    artifacts with a clean and a lossy network.
+    machinery is mid-recovery (the stale-session campaign has none); the
+    healed-disk campaign crosses its three artifacts with a clean and a
+    lossy network.
     """
     from repro.attacks import cloning
 
     scenarios: list[CloneScenario] = []
-
-    restore = [
-        leg for leg in cloning.probe_restore_trace(seed) if leg.direction == "request"
-    ]
-    for index, leg in enumerate(restore):
-        label = f"{leg.seq}:{leg.msg_type or 'msg'}"
-        scenarios.append(
-            CloneScenario("restore-window", label, leg.seq, "none", -1)
-        )
-        if index > 0:
-            scenarios.append(
-                CloneScenario(
-                    "restore-window", label, leg.seq, "drop", restore[index - 1].seq
+    for campaign in cloning.WINDOW_CAMPAIGNS:
+        world, _, action = cloning.victim(campaign, seed)
+        requests = [
+            leg for leg in probe(world, action).trace if leg.direction == "request"
+        ]
+        for index, leg in enumerate(requests):
+            label = f"{leg.seq}:{leg.msg_type or 'msg'}"
+            scenarios.append(CloneScenario(campaign, label, leg.seq, "none", -1))
+            if index > 0 and campaign != "stale-session-replay":
+                scenarios.append(
+                    CloneScenario(
+                        campaign, label, leg.seq, "drop", requests[index - 1].seq
+                    )
                 )
-            )
-
-    wave = [
-        leg for leg in cloning.probe_wave_trace(seed) if leg.direction == "request"
-    ]
-    for index, leg in enumerate(wave):
-        label = f"{leg.seq}:{leg.msg_type or 'msg'}"
-        scenarios.append(
-            CloneScenario("wave-double-join", label, leg.seq, "none", -1)
-        )
-        if index > 0:
-            scenarios.append(
-                CloneScenario(
-                    "wave-double-join", label, leg.seq, "drop", wave[index - 1].seq
-                )
-            )
-
-    stale = [
-        leg
-        for leg in cloning.probe_stale_session_trace(seed)
-        if leg.direction == "request"
-    ]
-    for leg in stale:
-        label = f"{leg.seq}:{leg.msg_type or 'msg'}"
-        scenarios.append(
-            CloneScenario("stale-session-replay", label, leg.seq, "none", -1)
-        )
-
     for window in ("tombstone-heal", "replay-prefreeze", "me-checkpoint"):
         for fault in ("none", "drop"):
             scenarios.append(CloneScenario("healed-disk", window, -1, fault, -1))
@@ -1369,149 +762,218 @@ def run_clone_scenario(scenario: CloneScenario, seed: int = 2018):
     Returns a :class:`repro.attacks.cloning.CloneCampaignReport`."""
     from repro.attacks import cloning
 
-    if scenario.campaign == "restore-window":
-        return cloning.run_restore_window_campaign(
-            scenario.window_seq,
-            fault=scenario.fault,
-            fault_seq=scenario.fault_seq,
-            seed=seed,
-            window_label=scenario.window,
-        )
-    if scenario.campaign == "wave-double-join":
-        return cloning.run_wave_double_join_campaign(
-            scenario.window_seq,
-            fault=scenario.fault,
-            fault_seq=scenario.fault_seq,
-            seed=seed,
-            window_label=scenario.window,
-        )
-    if scenario.campaign == "stale-session-replay":
-        return cloning.run_stale_session_replay_campaign(
-            scenario.window_seq,
-            fault=scenario.fault,
-            fault_seq=scenario.fault_seq,
-            seed=seed,
-            window_label=scenario.window,
-        )
     if scenario.campaign == "healed-disk":
         return cloning.run_healed_disk_campaign(
             scenario.window, fault=scenario.fault, seed=seed
         )
-    raise ValueError(f"unknown campaign {scenario.campaign!r}")
-
-
-def sweep_clone(seed: int = 2018, smoke: bool = False) -> list:
-    """Every clone campaign at every window; ``smoke`` keeps the first
-    scenario per (campaign, fault) cell — the ``make ci`` slice."""
-    scenarios = enumerate_clone_scenarios(seed)
-    if smoke:
-        first: dict[tuple[str, str], CloneScenario] = {}
-        for scenario in scenarios:
-            first.setdefault((scenario.campaign, scenario.fault), scenario)
-        scenarios = list(first.values())
-    return [run_clone_scenario(scenario, seed) for scenario in scenarios]
-
-
-def _main_clone(seed: int, smoke: bool) -> int:
-    scenarios = enumerate_clone_scenarios(seed)
-    slice_note = (
-        " (smoke slice: first scenario per campaign x fault cell)" if smoke else ""
+    return cloning.run_window_campaign(
+        scenario.campaign,
+        scenario.window_seq,
+        fault=scenario.fault,
+        fault_seq=scenario.fault_seq,
+        seed=seed,
+        window_label=scenario.window,
     )
-    print(
-        f"cloning-campaign sweep: {len(scenarios)} scenarios "
-        f"(campaign x protocol window x fault, seed {seed}){slice_note}"
+
+
+# ---------------------------------------------------------------------- CLI
+class _Grid(NamedTuple):
+    """What :func:`main` needs to sweep one grid and print it."""
+
+    header: str
+    scenarios: list
+    run: Callable
+    row: Callable
+    summary: Callable
+    cell: Callable | None = None
+
+
+def _network_grid(seed: int, session_resumption: bool, batched: bool) -> _Grid:
+    scenarios = enumerate_scenarios(
+        seed, session_resumption=session_resumption, batched=batched
     )
-    reports = sweep_clone(seed, smoke=smoke)
-    failures = [r for r in reports if not r.ok]
-    latencies = [
-        r.detection_latency for r in reports if r.detected and r.detection_latency >= 0
-    ]
-    for report in reports:
-        marker = "FAIL" if report.violations else "ok"
-        fate = "fenced" if report.fenced else (
-            "detected" if report.detected else "UNDETECTED"
+    legs = len({leg.seq for _, leg, _ in scenarios})
+    shape = "wave (batched)" if batched else "migration"
+    mode = "on" if session_resumption else "off"
+
+    def row(r: ScenarioReport) -> str:
+        step = f"{r.msg_type or 'reply'}/{r.direction}"
+        return (
+            f"seq {r.seq:>2} {step:<22} {r.kind:<13} "
+            f"migrate={r.migrate_outcome:<28} recovery={r.recovery_outcome}"
         )
+
+    return _Grid(
+        header=f"{shape} message sequence: {legs} legs "
+        f"(seed {seed}, session resumption {mode})",
+        scenarios=scenarios,
+        run=lambda s: run_scenario(*s, seed, session_resumption, batched),
+        row=row,
+        summary=lambda reports, failures: [
+            f"{len(reports)} scenarios, {failures} invariant violations "
+            f"(R3: never two live instances; R4: counters never regress)"
+        ],
+    )
+
+
+def _disk_grid(seed: int) -> _Grid:
+    def row(r: DiskScenarioReport) -> str:
+        extras = f" corrupt-reads={r.corrupt_reads}" if r.corrupt_reads else ""
+        return (
+            f"{r.artifact:<20} {r.kind:<11} @ {r.phase:<24} fired={r.fired} "
+            f"migrate={r.migrate_outcome:<28} "
+            f"recovery={r.recovery_outcome}{extras}"
+        )
+
+    def summary(reports: list, failures: int) -> list[str]:
+        line = f"{len(reports)} scenarios, {failures} invariant violations"
+        if failures:
+            return [line]
+        unfired = sum(1 for r in reports if not r.fired)
+        return [
+            f"{line}, {unfired} armed faults never reached "
+            f"(R3/R4 intact and world recoverable in every scenario)"
+        ]
+
+    scenarios = enumerate_disk_scenarios(seed)
+    return _Grid(
+        header=f"disk fault sweep: {len(scenarios)} scenarios over "
+        f"{len(DISK_ARTIFACTS)} artifacts x {len(DISK_FAULT_KINDS)} fault kinds "
+        f"(seed {seed})",
+        scenarios=scenarios,
+        run=lambda s: run_disk_scenario(s, seed),
+        row=row,
+        summary=summary,
+        cell=lambda s: (s.artifact, s.kind),
+    )
+
+
+def _fleet_grid(seed: int) -> _Grid:
+    scenarios = enumerate_fleet_scenarios(seed)
+    return _Grid(
+        header=f"fleet planner-kill sweep: {len(scenarios)} boundaries over a "
+        f"{FLEET_MACHINES}-machine / {FLEET_APPS}-enclave drain (seed {seed})",
+        scenarios=scenarios,
+        run=lambda s: run_fleet_scenario(s, seed),
+        row=lambda r: (
+            f"kill@{r.scenario.label:<20} apply={r.apply_outcome:<28} "
+            f"recovery={r.recovery_outcome}"
+        ),
+        summary=lambda reports, failures: [
+            f"{len(reports)} scenarios, {failures} invariant violations "
+            f"(R3/R4 per member, planned placement reached, journal cleared)"
+        ],
+        cell=lambda s: (s.stage, s.parked, s.dispatch),
+    )
+
+
+def _clone_grid(seed: int) -> _Grid:
+    def measured(r) -> bool:
+        return r.detected and r.detection_latency >= 0
+
+    def row(r) -> str:
+        fate = "fenced" if r.fenced else ("detected" if r.detected else "UNDETECTED")
         latency = (
-            f"latency={report.detection_latency:.6f}s"
-            if report.detected and report.detection_latency >= 0
-            else "latency=n/a"
+            f"latency={r.detection_latency:.6f}s" if measured(r) else "latency=n/a"
         )
-        print(
-            f"  [{marker:>4}] {report.campaign:<20} "
-            f"window={report.window:<16} fault={report.fault:<5} "
-            f"clone={report.clone_outcome:<28} {fate:<10} {latency}"
+        return (
+            f"{r.campaign:<20} window={r.window:<16} fault={r.fault:<5} "
+            f"clone={r.clone_outcome:<28} {fate:<10} {latency}"
         )
-        for violation in report.violations:
-            print(f"         !! {violation}")
-    detected = sum(1 for r in reports if r.detected)
-    fenced = sum(1 for r in reports if r.fenced)
-    if latencies:
-        mean = sum(latencies) / len(latencies)
-        print(
-            f"detection latency (virtual): mean {mean:.6f}s, "
-            f"max {max(latencies):.6f}s over {len(latencies)} detections"
+
+    def summary(reports: list, failures: int) -> list[str]:
+        latencies = [r.detection_latency for r in reports if measured(r)]
+        lines = []
+        if latencies:
+            lines.append(
+                f"detection latency (virtual): "
+                f"mean {sum(latencies) / len(latencies):.6f}s, "
+                f"max {max(latencies):.6f}s over {len(latencies)} detections"
+            )
+        detected = sum(1 for r in reports if r.detected)
+        fenced = sum(1 for r in reports if r.fenced)
+        lines.append(
+            f"{len(reports)} scenarios, {detected} clones detected, "
+            f"{fenced} fenced, {failures} invariant violations "
+            f"(R3: never two live instances; R4: counters never regress)"
         )
-    print(
-        f"{len(reports)} scenarios, {detected} clones detected, "
-        f"{fenced} fenced, {len(failures)} invariant violations "
-        f"(R3: never two live instances; R4: counters never regress)"
+        return lines
+
+    scenarios = enumerate_clone_scenarios(seed)
+    return _Grid(
+        header=f"cloning-campaign sweep: {len(scenarios)} scenarios "
+        f"(campaign x protocol window x fault, seed {seed})",
+        scenarios=scenarios,
+        run=lambda s: run_clone_scenario(s, seed),
+        row=row,
+        summary=summary,
+        cell=lambda s: (s.campaign, s.fault),
     )
-    return 1 if failures else 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.faults.chaos",
+        description="Sweep faults over the migration protocol and check "
+        "R3/R4 after recovery (default grid: one sequential migration).",
+        allow_abbrev=False,
+    )
+    grid = parser.add_mutually_exclusive_group()
+    for flag, text in (
+        ("--batched", "two-member migration waves"),
+        ("--disk", "storage faults on every persisted artifact"),
+        ("--fleet", "planner kills at every fleet journal boundary"),
+        ("--clone", "cloning-window attack campaigns"),
+    ):
+        grid.add_argument(flag, action="store_true", help=text)
+    parser.add_argument(
+        "--session-resumption",
+        action="store_true",
+        help="cache attested ME sessions (default and --batched grids only)",
+    )
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="first scenario per cell (--disk, --fleet and --clone only)",
+    )
+    parser.add_argument("seed", nargs="?", type=int, default=2018)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    session_resumption = "--session-resumption" in args
-    batched = "--batched" in args
-    disk = "--disk" in args
-    fleet = "--fleet" in args
-    clone = "--clone" in args
-    smoke = "--smoke" in args
-    args = [
-        a
-        for a in args
-        if a
-        not in (
-            "--session-resumption",
-            "--batched",
-            "--disk",
-            "--fleet",
-            "--clone",
-            "--smoke",
+    parser = _parser()
+    args = parser.parse_args(argv)
+    cell_grid = args.disk or args.fleet or args.clone
+    if args.smoke and not cell_grid:
+        parser.error("--smoke applies only to --disk, --fleet and --clone")
+    if args.session_resumption and cell_grid:
+        parser.error(
+            "--session-resumption applies only to the default and --batched grids"
         )
-    ]
-    seed = int(args[0]) if args else 2018
-    if disk:
-        return _main_disk(seed, smoke)
-    if fleet:
-        return _main_fleet(seed, smoke)
-    if clone:
-        return _main_clone(seed, smoke)
-    probe = probe_batched_message_sequence if batched else probe_message_sequence
-    trace = probe(seed, session_resumption)
-    mode = "on" if session_resumption else "off"
-    shape = "wave (batched)" if batched else "migration"
-    print(
-        f"{shape} message sequence: {len(trace)} legs "
-        f"(seed {seed}, session resumption {mode})"
-    )
-    run_sweep = sweep_batched if batched else sweep
-    reports = run_sweep(seed, session_resumption=session_resumption)
-    failures = [r for r in reports if not r.ok]
-    for report in reports:
-        marker = "FAIL" if report.violations else "ok"
-        step = f"{report.msg_type or 'reply'}/{report.direction}"
-        print(
-            f"  [{marker:>4}] seq {report.seq:>2} {step:<22} "
-            f"{report.kind:<13} migrate={report.migrate_outcome:<28} "
-            f"recovery={report.recovery_outcome}"
-        )
+    if args.disk:
+        grid = _disk_grid(args.seed)
+    elif args.fleet:
+        grid = _fleet_grid(args.seed)
+    elif args.clone:
+        grid = _clone_grid(args.seed)
+    else:
+        grid = _network_grid(args.seed, args.session_resumption, args.batched)
+    scenarios = grid.scenarios
+    header = grid.header
+    if args.smoke:
+        scenarios = first_per_cell(scenarios, grid.cell)
+        header += " (smoke slice: first scenario per cell)"
+    print(header)
+    reports = []
+    for scenario in scenarios:
+        report = grid.run(scenario)
+        reports.append(report)
+        print(f"  [{'FAIL' if report.violations else 'ok':>4}] {grid.row(report)}")
         for violation in report.violations:
             print(f"         !! {violation}")
-    print(
-        f"{len(reports)} scenarios, {len(failures)} invariant violations "
-        f"(R3: never two live instances; R4: counters never regress)"
-    )
+    failures = sum(1 for r in reports if not r.ok)
+    for line in grid.summary(reports, failures):
+        print(line)
     return 1 if failures else 0
 
 

@@ -10,21 +10,15 @@ correctness argument executable.
 
 import pytest
 
-from repro.faults.chaos import (
-    DEFAULT_KINDS,
-    probe_batched_message_sequence,
-    probe_message_sequence,
-    run_batched_scenario,
-    run_scenario,
-    sweep,
-)
+from repro.faults.chaos import DEFAULT_KINDS, network_spec, run_scenario, sweep
+from repro.faults.scenario import build_world, probe
 
 SEED = 2018
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return probe_message_sequence(SEED)
+    return probe(build_world(network_spec(SEED))).trace
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +81,7 @@ class TestBatchedSweep:
 
     @pytest.fixture(scope="class")
     def batched_trace(self):
-        return probe_batched_message_sequence(SEED)
+        return probe(build_world(network_spec(SEED, batched=True))).trace
 
     def test_probe_records_the_wave_protocol(self, batched_trace):
         types = [m.msg_type for m in batched_trace if m.msg_type]
@@ -119,8 +113,8 @@ class TestBatchedSweep:
             ("crash-dest", batch_legs[-1]),
         ]
         for kind, leg in scenarios:
-            report = run_batched_scenario(
-                kind, leg, request_ordinals.get(leg.seq, 0), SEED
+            report = run_scenario(
+                kind, leg, request_ordinals.get(leg.seq, 0), SEED, batched=True
             )
             assert report.ok, (
                 f"{kind} at seq {leg.seq} ({leg.msg_type}): {report.violations}"

@@ -14,6 +14,7 @@ from repro.attacks import cloning
 from repro.cloud.storage import UntrustedStorage
 from repro.core.result import MigrationOutcome
 from repro.errors import CloneDetectedError, PreflightError
+from repro.faults.scenario import build_world, check_invariants, probe
 from repro.fleet.demo import build_demo_fleet
 from repro.fleet.registry import SingleInstanceRegistry
 from repro.sim.clock import VirtualClock
@@ -25,7 +26,9 @@ class TestCampaigns:
         advance: the classic cloning window.  The registry accepts the
         clone (holder looks dead, epoch is fresh enough) and fences it
         retroactively when the legitimate shipment lands."""
-        report = cloning.run_restore_window_campaign(0, window_label="0:la_rec")
+        report = cloning.run_window_campaign(
+            "restore-window", 0, window_label="0:la_rec"
+        )
         assert report.clone_outcome == "accepted"
         assert report.detected and report.fenced
         assert report.detection_latency > 0
@@ -35,27 +38,33 @@ class TestCampaigns:
     def test_restore_window_late_clone_is_denied_outright(self):
         """By the destination's install the registry records a live holder
         at the new epoch; a stale claim is denied before any state loads."""
-        report = cloning.run_restore_window_campaign(16, window_label="16:la_rec")
+        report = cloning.run_window_campaign(
+            "restore-window", 16, window_label="16:la_rec"
+        )
         assert report.clone_outcome == "denied:CloneDetectedError"
         assert report.detected and report.fenced
         assert report.ok, report.violations
 
     def test_wave_double_join_is_fenced(self):
+        world, _, action = cloning.victim("wave-double-join", 2018)
         trace = [
-            leg for leg in cloning.probe_wave_trace(2018)
+            leg for leg in probe(world, action).trace
             if leg.direction == "request"
         ]
-        report = cloning.run_wave_double_join_campaign(trace[len(trace) // 2].seq)
+        report = cloning.run_window_campaign(
+            "wave-double-join", trace[len(trace) // 2].seq
+        )
         assert report.detected and report.fenced
         assert report.migrate_outcome == "COMPLETED,COMPLETED"
         assert report.ok, report.violations
 
     def test_stale_session_replay_falls_back_and_fences(self):
+        world, _, action = cloning.victim("stale-session-replay", 2018)
         trace = [
-            leg for leg in cloning.probe_stale_session_trace(2018)
+            leg for leg in probe(world, action).trace
             if leg.direction == "request"
         ]
-        report = cloning.run_stale_session_replay_campaign(trace[2].seq)
+        report = cloning.run_window_campaign("stale-session-replay", trace[2].seq)
         assert report.detected and report.fenced
         assert any("full remote attestation" in line for line in report.timeline)
         assert report.ok, report.violations
@@ -80,7 +89,7 @@ class TestCampaigns:
 
 class TestDenyByDefault:
     def test_offline_registry_denies_clone_but_legit_keeps_serving(self):
-        world = cloning.build_clone_world(2018)
+        world = build_world(cloning.clone_spec(2018))
         stale = world.app.stored_library_buffer()
         world.registry.offline = True
         outcome, clone, _ = cloning.launch_clone(
@@ -96,7 +105,7 @@ class TestDenyByDefault:
         """An unreachable registry must never silently open a migration
         window: the freeze advance is denied (retryably), the transaction
         parks, and resume finishes once the registry is back."""
-        world = cloning.build_clone_world(2018)
+        world = build_world(cloning.clone_spec(2018))
         destination = world.dc.machine(cloning.DESTINATION)
         world.registry.offline = True
         result = world.app.migrate(destination, migrate_vm=False)
@@ -105,7 +114,7 @@ class TestDenyByDefault:
         result = world.app.resume(migrate_vm=False)
         assert result.outcome is MigrationOutcome.RESUMED
         assert result.machine_name == cloning.DESTINATION
-        assert cloning.check_clone_invariants(world) == []
+        assert check_invariants(world) == []
 
 
 class TestFreezeFlagBelowRegistry:
@@ -114,7 +123,7 @@ class TestFreezeFlagBelowRegistry:
         that is *frozen* is refused inside the library before any claim is
         made, so no incident is recorded (and the chaos sweep's windows
         therefore exclude this non-adjudicated refusal)."""
-        world = cloning.build_clone_world(2018)
+        world = build_world(cloning.clone_spec(2018))
         result = world.app.migrate(
             world.dc.machine(cloning.DESTINATION), migrate_vm=False
         )

@@ -12,28 +12,19 @@ from repro.core.protocol import reinstall_migration_enclave
 from repro.core.result import MigrationOutcome, MigrationResult
 from repro.core.retry import NO_RETRY, RetryPolicy
 from repro.errors import MigrationError, ReproError
-from repro.faults.chaos import (
-    COUNTER_TARGET,
+from repro.faults.plan import FaultPlan
+from repro.faults.scenario import (
+    COUNTER_TARGETS,
     DESTINATION,
     SOURCE,
+    WorldSpec,
+    arm,
     build_world,
     check_invariants,
+    disarm,
 )
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 
-
-def attach(world, plan):
-    world.dc.network.fault_injector = FaultInjector(
-        plan=plan,
-        rng=world.dc.rng.child("test-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-
-
-def detach(world):
-    world.dc.network.fault_injector = None
+COUNTER_TARGET = COUNTER_TARGETS[0]
 
 
 class TestSourceCrashResume:
@@ -41,12 +32,16 @@ class TestSourceCrashResume:
         """Power failure on the source while migrate_out is on the wire: the
         frozen library state persisted before shipping, so a restore + retry
         at the source finishes the migration."""
-        world = build_world(seed=101)
+        world = build_world(WorldSpec(seed=101))
         dc, app = world.dc, world.app
-        attach(world, FaultPlan().crash_machine(SOURCE, msg_type="la_rec"))
+        arm(
+            world,
+            FaultPlan().crash_machine(SOURCE, msg_type="la_rec"),
+            label="test-faults",
+        )
         with pytest.raises(ReproError):
             app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        detach(world)
+        disarm(world)
 
         # The journal survives on the source disk; operator restores the ME.
         record = MigrationJournal(dc.machine(SOURCE).storage, app.app_name).read()
@@ -68,12 +63,16 @@ class TestSourceCrashResume:
     def test_source_crash_before_any_shipment(self):
         """Crash during the source's local attestation with its ME: nothing
         ever left the machine, so resume re-runs the whole flow."""
-        world = build_world(seed=102)
+        world = build_world(WorldSpec(seed=102))
         dc, app = world.dc, world.app
-        attach(world, FaultPlan().crash_machine(SOURCE, msg_type="la_hello"))
+        arm(
+            world,
+            FaultPlan().crash_machine(SOURCE, msg_type="la_hello"),
+            label="test-faults",
+        )
         with pytest.raises(ReproError):
             app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        detach(world)
+        disarm(world)
 
         reinstall_migration_enclave(dc, dc.machine(SOURCE), world.me_signer)
         result = app.resume(migrate_vm=False)
@@ -87,17 +86,18 @@ class TestDestinationCrashResume:
         """The destination machine dies while the ME-to-ME transfer is in
         flight: the source parks the data, retries exhaust, and resume
         re-ships once the destination ME is back."""
-        world = build_world(seed=103)
+        world = build_world(WorldSpec(seed=103))
         dc, app = world.dc, world.app
-        attach(
+        arm(
             world,
             FaultPlan().crash_machine(DESTINATION, msg_type="ra_rec", nth=1),
+            label="test-faults",
         )
         result = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
         assert result.outcome is MigrationOutcome.PENDING_RETRY
         assert not result
         assert isinstance(result.error, ReproError)
-        detach(world)
+        disarm(world)
 
         reinstall_migration_enclave(dc, dc.machine(DESTINATION), world.me_signer)
         resumed = app.resume(migrate_vm=False)
@@ -109,18 +109,19 @@ class TestDestinationCrashResume:
         """The destination enclave installed and persisted the state, then
         the machine dies before confirmation: resume restores from the local
         blob and (idempotently) re-confirms."""
-        world = build_world(seed=104)
+        world = build_world(WorldSpec(seed=104))
         dc, app = world.dc, world.app
         # The done command is the second la_rec sent by the destination app.
-        attach(
+        arm(
             world,
             FaultPlan().crash_machine(
                 DESTINATION, src=DESTINATION, msg_type="la_rec", nth=1
             ),
+            label="test-faults",
         )
         with pytest.raises(ReproError):
             app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        detach(world)
+        disarm(world)
 
         reinstall_migration_enclave(dc, dc.machine(DESTINATION), world.me_signer)
         resumed = app.resume(migrate_vm=False)
@@ -134,14 +135,18 @@ class TestPendingRetry:
         """A single dropped message with retries disabled leaves the library
         frozen, the data parked at the source ME, and the journal intact —
         exactly the state resume() needs."""
-        world = build_world(seed=105)
+        world = build_world(WorldSpec(seed=105))
         dc, app = world.dc, world.app
-        attach(world, FaultPlan().drop(msg_type="la_rec", direction="request"))
+        arm(
+            world,
+            FaultPlan().drop(msg_type="la_rec", direction="request"),
+            label="test-faults",
+        )
         result = app.migrate(
             dc.machine(DESTINATION), migrate_vm=False, retry_policy=NO_RETRY
         )
         assert result.outcome is MigrationOutcome.PENDING_RETRY
-        detach(world)
+        disarm(world)
 
         record = MigrationJournal(dc.machine(SOURCE).storage, app.app_name).read()
         assert record is not None
@@ -157,15 +162,15 @@ class TestPendingRetry:
         """With the default policy, a couple of dropped messages never
         surface to the caller: the migration completes with retries > 0
         somewhere along the protocol."""
-        world = build_world(seed=106)
+        world = build_world(WorldSpec(seed=106))
         dc, app = world.dc, world.app
-        attach(world, FaultPlan().drop(msg_type="ra_msg1"))
+        arm(world, FaultPlan().drop(msg_type="ra_msg1"), label="test-faults")
         result = app.migrate(
             dc.machine(DESTINATION),
             migrate_vm=False,
             retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
         )
-        detach(world)
+        disarm(world)
         assert result.outcome is MigrationOutcome.COMPLETED
         assert result.ecall("read_counter", world.counter_id) == COUNTER_TARGET
         assert check_invariants(world) == []
@@ -173,12 +178,12 @@ class TestPendingRetry:
 
 class TestResumeApi:
     def test_resume_without_journal_raises(self):
-        world = build_world(seed=107)
+        world = build_world(WorldSpec(seed=107))
         with pytest.raises(MigrationError, match="no migration in progress"):
             world.app.resume()
 
     def test_result_is_typed_and_delegates(self):
-        world = build_world(seed=108)
+        world = build_world(WorldSpec(seed=108))
         result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
         assert isinstance(result, MigrationResult)
         assert result  # truthy on success

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from repro.__main__ import main
 from repro.crypto import libcrypto
 
@@ -55,3 +57,44 @@ class TestBenchProvenance:
         assert len(meta["src_sha256"]) == 64
         assert meta["git_dirty"] in (True, False, None)
         assert meta["git_commit"]
+
+
+class TestChaosCli:
+    """``python -m repro.faults.chaos`` rejects malformed or inapplicable
+    flag combinations with usage (exit 2) before any sweep starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweeps(self, monkeypatch):
+        from repro.faults import chaos
+
+        def sweep_started(*args, **kwargs):
+            raise AssertionError("a sweep started despite a usage error")
+
+        for name in (
+            "enumerate_scenarios",
+            "enumerate_disk_scenarios",
+            "enumerate_fleet_scenarios",
+            "enumerate_clone_scenarios",
+        ):
+            monkeypatch.setattr(chaos, name, sweep_started)
+        return chaos
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--disks"],
+            ["--fleet", "--clone"],
+            ["--batched", "--disk"],
+            ["--smoke"],
+            ["--batched", "--smoke"],
+            ["--disk", "--session-resumption"],
+            ["--fleet", "--session-resumption"],
+            ["--clone", "--session-resumption"],
+            ["not-a-seed"],
+        ],
+    )
+    def test_usage_errors_exit_2(self, no_sweeps, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            no_sweeps.main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

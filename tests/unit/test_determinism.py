@@ -114,28 +114,42 @@ class TestSeedDeterminism:
         b = run_disk_scenario(scenario, seed=2018)
         assert asdict(a) == asdict(b)
 
+    def test_chaos_fleet_scenario_report_identical_under_seed(self):
+        """One planner-kill scenario (pipelined drain killed between two
+        group dispatches, fresh planner resumes from the fleet journal)
+        must uphold the fleet oracle and replay to the identical report."""
+        from dataclasses import asdict
+
+        from repro.faults.chaos import enumerate_fleet_scenarios, run_fleet_scenario
+
+        scenario = next(
+            s
+            for s in enumerate_fleet_scenarios(2018)
+            if s.label == "group:0+pipelined"
+        )
+        a = run_fleet_scenario(scenario, seed=2018)
+        b = run_fleet_scenario(scenario, seed=2018)
+        assert a.ok, a.violations
+        assert asdict(a) == asdict(b)
+
     def test_every_chaos_grid_keeps_its_size(self):
         """Every adversarial grid's scenario count at seed 2018 is pinned:
         base and batched with session resumption off and on, disk, fleet
         and clone.  A grid that shrinks has silently lost coverage."""
         from repro.faults import chaos
 
-        def network_grid(probe, session_resumption):
-            trace = probe(2018, session_resumption)
-            return sum(
-                1
-                for leg in trace
-                for kind in chaos.DEFAULT_KINDS
-                if kind != "duplicate" or leg.direction == "request"
+        def network_grid(session_resumption, batched):
+            return len(
+                chaos.enumerate_scenarios(
+                    2018, session_resumption=session_resumption, batched=batched
+                )
             )
 
         sizes = {
-            "base": network_grid(chaos.probe_message_sequence, False),
-            "base+resumption": network_grid(chaos.probe_message_sequence, True),
-            "batched": network_grid(chaos.probe_batched_message_sequence, False),
-            "batched+resumption": network_grid(
-                chaos.probe_batched_message_sequence, True
-            ),
+            "base": network_grid(False, False),
+            "base+resumption": network_grid(True, False),
+            "batched": network_grid(False, True),
+            "batched+resumption": network_grid(True, True),
             "disk": len(chaos.enumerate_disk_scenarios(2018)),
             "fleet": len(chaos.enumerate_fleet_scenarios(2018)),
             "clone": len(chaos.enumerate_clone_scenarios(2018)),

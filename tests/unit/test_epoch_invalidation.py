@@ -8,6 +8,8 @@ from repro.cloud.network import Endpoint
 from repro.core.migration_enclave import MigrationEnclave
 from repro.core.protocol import reinstall_migration_enclave
 from repro.core.result import MigrationOutcome
+from repro.faults.plan import FaultPlan
+from repro.faults.scenario import arm, build_world, disarm, probe
 
 
 def _beat(world, machine_name):
@@ -23,7 +25,7 @@ class TestFreshEpochOnReinstall:
         """The session epoch is *never* restored from the sealed checkpoint
         (that is what invalidates cached sessions); the heartbeat *is*
         restored (that is what catches checkpoint rollbacks)."""
-        world = cloning.build_clone_world(2018)
+        world = build_world(cloning.clone_spec(2018))
         first = _beat(world, cloning.SOURCE)
         assert first["status"] == "ok"
         assert first["heartbeat"] == 1
@@ -44,7 +46,7 @@ class TestFreshEpochOnReinstall:
         assert world.registry.incident_count() == 0
 
     def test_me_enclave_epoch_differs_after_reinstall(self):
-        world = cloning.build_clone_world(2018)
+        world = build_world(cloning.clone_spec(2018))
         machine = world.dc.machine(cloning.SOURCE)
 
         def me_enclave():
@@ -75,19 +77,22 @@ class TestStaleCachedSession:
         """After the destination ME is reinstalled, the source ME's cached
         attested session points at a dead epoch: the next migration must
         re-run the full remote-attestation handshake (ra_msg1 reappears)."""
-        trace = cloning.probe_stale_session_trace(2018)
+        world, _, action = cloning.victim("stale-session-replay", 2018)
+        trace = probe(world, action).trace
         assert any(leg.msg_type == "ra_msg1" for leg in trace)
 
     def test_warm_cached_session_is_resumed_without_full_ra(self):
         """Control: with session resumption on and no reinstall, the second
         migration to the same destination resumes the cached session and
         never sends ra_msg1."""
-        world = cloning.build_clone_world(2018, apps=2, session_resumption=True)
+        world = build_world(
+            cloning.clone_spec(2018, apps=2, session_resumption=True)
+        )
         destination = world.dc.machine(cloning.DESTINATION)
         result = world.apps[0].migrate(destination, migrate_vm=False)
         assert result.outcome is MigrationOutcome.COMPLETED
-        injector = cloning._attach_injector(world, cloning.FaultPlan())
+        injector = arm(world, FaultPlan())
         result = world.apps[1].migrate(destination, migrate_vm=False)
-        world.dc.network.fault_injector = None
+        disarm(world)
         assert result.outcome is MigrationOutcome.COMPLETED
         assert not any(leg.msg_type == "ra_msg1" for leg in injector.trace)
