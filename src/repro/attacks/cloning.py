@@ -293,18 +293,20 @@ def _score_detection(
     incidents_before: int,
     since: float | None,
     fenced: bool,
+    subject: str = "clone",
 ) -> None:
     """Detected means the campaign left a registry incident; fenced means
-    the clone also lost; latency runs from ``since`` to the first incident."""
+    the ``subject`` (the clone, or a rolled-back ME) also lost; latency
+    runs from ``since`` to the first incident."""
     new_incidents = world.registry.incidents()[incidents_before:]
     report.detected = bool(new_incidents)
     report.fenced = report.detected and fenced
     if new_incidents and since is not None:
         report.detection_latency = round(new_incidents[0].time - since, 6)
     if not report.detected:
-        report.violations.append("defense: clone left no registry incident")
+        report.violations.append(f"defense: {subject} left no registry incident")
     elif not report.fenced:
-        report.violations.append("defense: detected clone was never fenced")
+        report.violations.append(f"defense: detected {subject} was never fenced")
 
 
 # ---------------------------------------------------------------- campaigns
@@ -365,7 +367,7 @@ def run_window_campaign(
     # continues, so a window later than the fault position opens during the
     # resume pass — the clone races the *recovery*, not just the protocol.
     if not completed:
-        report.recovery_outcome, _ = recover(world, attempts=3)
+        report.recovery_outcome, _ = recover(world)
     disarm(world)
     state.press_home()
     state.resolve(report, incidents_before)
@@ -424,6 +426,7 @@ def run_healed_disk_campaign(
             incidents_before,
             since=beat_at,
             fenced=report.clone_outcome.startswith("denied:"),
+            subject="rolled-back ME",
         )
     else:
         _healed_library_blob(world, window, report).resolve(report, incidents_before)

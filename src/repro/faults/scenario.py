@@ -193,15 +193,12 @@ def _storages(world: World) -> list:
     return [machine.storage for machine in world.dc.machines.values()]
 
 
-def arm(
-    world: World, plan: FaultPlan, *, disk: bool = False, label: str | None = None
-) -> FaultInjector:
+def arm(world: World, plan: FaultPlan, *, disk: bool = False) -> FaultInjector:
     """Open the fault window: install ``plan`` on the network and, with
-    ``disk``, on every machine's storage.  ``label`` overrides the RNG
-    child label (default ``<spec.rng>-faults``)."""
+    ``disk``, on every machine's storage."""
     injector = FaultInjector(
         plan=plan,
-        rng=world.dc.rng.child(label or f"{world.spec.rng}-faults"),
+        rng=world.dc.rng.child(f"{world.spec.rng}-faults"),
         machines=dict(world.dc.machines),
         meter=world.dc.meter,
     )
@@ -260,19 +257,20 @@ def recover_member(
     """Drive one member's interrupted migration to an end; returns its step
     labels.
 
-    Each attempt resumes the journalled transaction; a parked result
-    (``pending_retry``) spends another attempt.  A member with no migration
-    in progress already finished it (the fault hit a sibling's leg): that
-    is success if its enclave is alive, and otherwise an ordinary enclave
-    death *after* the protocol, recovered by a restart from sealed state.
-    When a step raises, ``heal`` (the disk grid's restore-from-archive)
-    runs before the next attempt; without it, or once healing finds
-    nothing after a retry, the member stays failed.
+    Each attempt resumes the journalled transaction; whatever outcome the
+    resume returns ends recovery.  A member with no migration in progress
+    already finished it (the fault hit a sibling's leg): that is success
+    if its enclave is alive, and otherwise an ordinary enclave death
+    *after* the protocol, recovered by a restart from sealed state.  When a
+    step raises, ``heal`` (the disk grid's restore-from-archive) runs
+    before the next attempt; without it, or once healing finds nothing
+    after a retry, the member stays failed.
     """
     steps: list[str] = []
     for attempt in range(attempts):
         try:
-            outcome = app.resume(migrate_vm=False).outcome
+            steps.append(app.resume(migrate_vm=False).outcome.value)
+            return steps
         except MigrationError as exc:
             failure: ReproError = exc
             if "no migration in progress" in str(exc):
@@ -287,11 +285,6 @@ def recover_member(
                     failure = restart_exc
         except ReproError as exc:
             failure = exc
-        else:
-            steps.append(outcome.value)
-            if outcome is not MigrationOutcome.PENDING_RETRY:
-                return steps
-            continue
         healed = heal() if heal is not None else []
         label = f"raised:{type(failure).__name__}"
         if healed:

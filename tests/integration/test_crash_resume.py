@@ -34,11 +34,7 @@ class TestSourceCrashResume:
         at the source finishes the migration."""
         world = build_world(WorldSpec(seed=101))
         dc, app = world.dc, world.app
-        arm(
-            world,
-            FaultPlan().crash_machine(SOURCE, msg_type="la_rec"),
-            label="test-faults",
-        )
+        arm(world, FaultPlan().crash_machine(SOURCE, msg_type="la_rec"))
         with pytest.raises(ReproError):
             app.migrate(dc.machine(DESTINATION), migrate_vm=False)
         disarm(world)
@@ -65,11 +61,7 @@ class TestSourceCrashResume:
         ever left the machine, so resume re-runs the whole flow."""
         world = build_world(WorldSpec(seed=102))
         dc, app = world.dc, world.app
-        arm(
-            world,
-            FaultPlan().crash_machine(SOURCE, msg_type="la_hello"),
-            label="test-faults",
-        )
+        arm(world, FaultPlan().crash_machine(SOURCE, msg_type="la_hello"))
         with pytest.raises(ReproError):
             app.migrate(dc.machine(DESTINATION), migrate_vm=False)
         disarm(world)
@@ -88,11 +80,7 @@ class TestDestinationCrashResume:
         re-ships once the destination ME is back."""
         world = build_world(WorldSpec(seed=103))
         dc, app = world.dc, world.app
-        arm(
-            world,
-            FaultPlan().crash_machine(DESTINATION, msg_type="ra_rec", nth=1),
-            label="test-faults",
-        )
+        arm(world, FaultPlan().crash_machine(DESTINATION, msg_type="ra_rec", nth=1))
         result = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
         assert result.outcome is MigrationOutcome.PENDING_RETRY
         assert not result
@@ -117,7 +105,6 @@ class TestDestinationCrashResume:
             FaultPlan().crash_machine(
                 DESTINATION, src=DESTINATION, msg_type="la_rec", nth=1
             ),
-            label="test-faults",
         )
         with pytest.raises(ReproError):
             app.migrate(dc.machine(DESTINATION), migrate_vm=False)
@@ -137,11 +124,7 @@ class TestPendingRetry:
         exactly the state resume() needs."""
         world = build_world(WorldSpec(seed=105))
         dc, app = world.dc, world.app
-        arm(
-            world,
-            FaultPlan().drop(msg_type="la_rec", direction="request"),
-            label="test-faults",
-        )
+        arm(world, FaultPlan().drop(msg_type="la_rec", direction="request"))
         result = app.migrate(
             dc.machine(DESTINATION), migrate_vm=False, retry_policy=NO_RETRY
         )
@@ -164,7 +147,7 @@ class TestPendingRetry:
         somewhere along the protocol."""
         world = build_world(WorldSpec(seed=106))
         dc, app = world.dc, world.app
-        arm(world, FaultPlan().drop(msg_type="ra_msg1"), label="test-faults")
+        arm(world, FaultPlan().drop(msg_type="ra_msg1"))
         result = app.migrate(
             dc.machine(DESTINATION),
             migrate_vm=False,
