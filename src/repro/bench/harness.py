@@ -225,7 +225,7 @@ class FleetBenchConfig:
     virtual clock, ``"concurrent"`` replays them as overlapping
     discrete-event processes (same bytes, contended virtual time), and
     ``"pipelined"`` additionally drops the wave (and plan) barrier —
-    groups admit the moment their machine/link claims are free — the
+    groups admit the moment their machine claims are free — the
     three-way comparison behind the ``scale`` sweep.
 
     ``wave_caps`` (orchestrated only) tightens ``max_moves_per_machine``

@@ -13,7 +13,6 @@ so enclaves inside the VM are simply destroyed (Section II-B).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.cloud.machine import PhysicalMachine
@@ -58,29 +57,21 @@ class Hypervisor:
         start = self.meter.clock.now
 
         # Pre-copy rounds: each round re-copies the fraction of memory
-        # dirtied while the previous round was in flight.  The copied bytes
-        # ride the source -> destination link, so under trace capture they
-        # are attributed there (concurrent migrations to different hosts
-        # then genuinely overlap); without a recorder the context is inert.
+        # dirtied while the previous round was in flight.  Under trace
+        # capture the copy time replays as latency, not CPU work.
         bytes_copied = 0
         round_bytes = vm.memory_bytes
         rounds = 0
-        link = (
-            self.meter.on_link(source.name, destination.name)
-            if getattr(self.meter, "recorder", None) is not None
-            else nullcontext()
-        )
-        with link:
-            for _ in range(self.precopy_rounds):
-                self.meter.charge_exact("vm_precopy", model.transfer_time(round_bytes))
-                bytes_copied += round_bytes
-                rounds += 1
-                round_bytes = int(round_bytes * model.vm_dirty_round_fraction)
-                if round_bytes < 4096:
-                    break
-            # Stop-and-copy switchover: final dirty set + device state.
-            self.meter.charge_exact("vm_switchover", model.transfer_time(round_bytes))
+        for _ in range(self.precopy_rounds):
+            self.meter.charge_exact("vm_precopy", model.transfer_time(round_bytes))
             bytes_copied += round_bytes
+            rounds += 1
+            round_bytes = int(round_bytes * model.vm_dirty_round_fraction)
+            if round_bytes < 4096:
+                break
+        # Stop-and-copy switchover: final dirty set + device state.
+        self.meter.charge_exact("vm_switchover", model.transfer_time(round_bytes))
+        bytes_copied += round_bytes
         self.meter.charge("vm_fixed", model.vm_migration_fixed)
 
         # Enclaves cannot cross: their EPC pages are opaque to us.

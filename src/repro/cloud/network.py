@@ -24,12 +24,12 @@ response with full addressing metadata and can drop, delay, duplicate, or
 corrupt messages, or crash machines, per a deterministic plan.
 
 Concurrency: when a :class:`~repro.sim.scheduler.TraceRecorder` is attached
-to the meter, each exchange is additionally *attributed* — transfer time to
-the directed ``src -> dst`` link and handler execution to the destination
-machine's CPU — so a later discrete-event replay can let concurrent
-exchanges share the pipe and contend for CPUs instead of summing serially.
-Without a recorder the attribution contexts are no-ops and this path is
-byte-identical to the original synchronous fabric.
+to the meter, each exchange's handler execution is additionally *attributed*
+to the destination machine's CPU, so a later discrete-event replay can let
+concurrent exchanges contend for CPUs instead of summing serially (RTT and
+transfer time replay as latency).  Without a recorder the attribution
+context is a no-op and this path is byte-identical to the original
+synchronous fabric.
 """
 
 from __future__ import annotations
@@ -164,19 +164,14 @@ class Network:
             payload = tapped
         self.messages_sent += 1
         self.bytes_sent += len(payload)
-        # Attribution contexts are live only while a trace recorder is
+        self._charge(src, dst, len(payload))
+        # The attribution context is live only while a trace recorder is
         # attached (the discrete-event concurrency path); the sequential
-        # path takes the nullcontext branches and stays byte-identical.
-        recording = self.meter.recorder is not None
-        src_machine, dst_machine = _machine_of(src), _machine_of(dst)
+        # path takes the nullcontext branch and stays byte-identical.
         with (
-            self.meter.on_link(src_machine, dst_machine)
-            if recording
+            self.meter.located(_machine_of(dst))
+            if self.meter.recorder is not None
             else nullcontext()
-        ):
-            self._charge(src, dst, len(payload))
-        with (
-            self.meter.located(dst_machine) if recording else nullcontext()
         ):
             response = handler(payload, src)
             if self.fault_injector is not None and self.fault_injector.wants_duplicate(
@@ -203,14 +198,9 @@ class Network:
                 raise NetworkError(f"response {dst} -> {src} dropped by adversary")
             response = tapped
         self.bytes_sent += len(response)
-        with (
-            self.meter.on_link(dst_machine, src_machine)
-            if recording
-            else nullcontext()
-        ):
-            self.meter.charge_exact(
-                "net_transfer", self.meter.model.transfer_time(len(response))
-            )
+        self.meter.charge_exact(
+            "net_transfer", self.meter.model.transfer_time(len(response))
+        )
         if timeout is not None and self.meter.clock.now - started > timeout:
             raise NetworkTimeoutError(
                 f"{src} -> {dst} round trip exceeded timeout of {timeout}s"

@@ -53,7 +53,7 @@ class FleetConstraints:
       after placement (burst/failover reserve), i.e. the effective planning
       capacity is ``machine_capacity - capacity_headroom``.
     * ``max_moves_per_machine`` — per-wave cap on migrations touching one
-      machine as source or destination (models ME/link concurrency).
+      machine as source or destination (models ME concurrency).
     * ``tenant_wave_quota`` — per-wave cap on concurrent moves of one
       tenant (blast-radius limit).
     * ``tenant_plan_quota`` — total moves one tenant may contribute to a
@@ -112,19 +112,10 @@ class PlannedMove:
 
         The pipelined dispatcher admits a group only when no earlier
         unfinished group holds an intersecting claim.  A move claims both
-        endpoint machines (ME/CPU work happens on each) and the link between
-        them.  The link claim is *undirected* — record-then-replay fixes the
-        wire bytes at record time, so two groups pushing opposite directions
-        over one pipe must not reorder each other's contention.
+        endpoint machines (ME/CPU work happens on each); two moves that
+        share a link therefore always share a machine claim too.
         """
-        link = (min(self.source, self.destination), max(self.source, self.destination))
-        return frozenset(
-            {
-                ("machine", self.source),
-                ("machine", self.destination),
-                ("link",) + link,
-            }
-        )
+        return frozenset({("machine", self.source), ("machine", self.destination)})
 
 
 @dataclass(frozen=True)

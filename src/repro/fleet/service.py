@@ -18,8 +18,8 @@ executes plans wave by wave:
   the timing model changes; with ``dispatch="pipelined"`` the wave barrier
   disappears entirely: all groups of all waves (and, via
   :meth:`FleetService.apply_many`, of multiple tenants' independent plans)
-  replay on one scheduler, each admitted as soon as the machines and links
-  it claims are free of earlier unfinished groups;
+  replay on one scheduler, each admitted as soon as the machines it claims
+  are free of earlier unfinished groups;
 * members that park (``PENDING_RETRY``) get one in-line ``resume`` pass
   (the PR-2 retry/resume semantics), and stay typed-pending in the
   :class:`PlanResult` if the fault persists;
@@ -104,10 +104,9 @@ class FleetService:
     #: ``"pipelined"`` goes further and drops the wave barrier itself —
     #: every group of every wave (and of every plan in :meth:`apply_many`)
     #: replays on one scheduler, admitted the moment no earlier group with
-    #: an intersecting machine/link resource claim is still running.  The
-    #: protocol bytes are identical in all three modes — the groups execute
-    #: in the same order with the same RNG draws; only the virtual timing
-    #: differs.
+    #: an intersecting machine claim is still running.  The protocol bytes
+    #: are identical in all three modes — the groups execute in the same
+    #: order with the same RNG draws; only the virtual timing differs.
     dispatch: str = "serial"
     #: Optional :class:`~repro.fleet.registry.SingleInstanceRegistry`.
     #: When set, pre-flight refuses to dispatch while the registry is
@@ -116,8 +115,9 @@ class FleetService:
     #: clone incidents.
     registry: object = None
     members: dict[str, FleetMember] = field(default_factory=dict)
-    #: The scheduler of the most recent concurrent wave (observability:
-    #: event log, per-machine CPU busy totals, makespan).
+    #: The scheduler of the most recent replay — a concurrent wave or a
+    #: pipelined dispatch (observability: event log, per-machine CPU busy
+    #: totals, makespan).
     last_schedule: "Scheduler | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -387,8 +387,8 @@ class FleetService:
         evolves identically to serial dispatch and the wire bytes are
         byte-for-byte the same.  Replay then advances the clock once, to
         the makespan of the admission-gated schedule: a group starts the
-        instant no earlier group holding an intersecting machine/link claim
-        is still running (see :func:`repro.fleet.planner.
+        instant no earlier group holding an intersecting machine claim is
+        still running (see :func:`repro.fleet.planner.
         build_conflict_graph`), so independent waves — and independent
         tenants' plans — overlap across the old wave barrier.
         """

@@ -112,12 +112,11 @@ class CostMeter:
     recorder via :meth:`recording` diverts every charge into it instead of
     the clock — the protocol code runs unchanged (same calls, same RNG
     draws) while the clock stays frozen; the recorded trace is later
-    replayed by :class:`~repro.sim.scheduler.Scheduler` with resource
-    contention, and only then does the clock move.  The :meth:`located` and
-    :meth:`on_link` contexts attribute charges to a machine's CPU or a
-    directed network link for that replay; both are inert no-ops whenever
-    no recorder is attached, which is how every sequential code path stays
-    byte-identical.
+    replayed by :class:`~repro.sim.scheduler.Scheduler` with CPU
+    contention, and only then does the clock move.  The :meth:`located`
+    context attributes CPU charges to a machine for that replay; it is an
+    inert no-op whenever no recorder is attached, which is how every
+    sequential code path stays byte-identical.
     """
 
     model: CostModel
@@ -125,14 +124,11 @@ class CostMeter:
     rng: DeterministicRng
     enabled: bool = True
     charges: list[tuple[str, float]] = field(default_factory=list)
-    #: Trace sink (``record(label, seconds, location, link)``); ``None`` =
+    #: Trace sink (``record(label, seconds, location)``); ``None`` =
     #: normal operation, charges advance the clock directly.
     recorder: Any = None
     #: Machine currently accountable for CPU charges (recording only).
     location: str | None = None
-    #: Directed link ``(src_machine, dst_machine)`` accountable for network
-    #: charges (recording only).
-    link: tuple[str, str] | None = None
 
     def charge(self, label: str, mean_cost: float) -> float:
         """Charge a noisy sample of ``mean_cost``; returns the charged time."""
@@ -151,7 +147,7 @@ class CostMeter:
 
     def _commit(self, label: str, cost: float) -> None:
         if self.recorder is not None:
-            self.recorder.record(label, cost, self.location, self.link)
+            self.recorder.record(label, cost, self.location)
         else:
             self.clock.advance(cost)
         self.charges.append((label, cost))
@@ -175,7 +171,6 @@ class CostMeter:
         finally:
             self.recorder = None
             self.location = None
-            self.link = None
 
     @contextmanager
     def located(self, machine: str):
@@ -185,12 +180,3 @@ class CostMeter:
             yield
         finally:
             self.location = previous
-
-    @contextmanager
-    def on_link(self, src_machine: str, dst_machine: str):
-        """Attribute network charges in the block to the directed link."""
-        previous, self.link = self.link, (src_machine, dst_machine)
-        try:
-            yield
-        finally:
-            self.link = previous

@@ -6,18 +6,17 @@ single serial timeline, so two migrations can never overlap in virtual time.
 This module supplies the missing half: a :class:`Scheduler` that owns a
 priority queue of timed events (stable FIFO tie-breaking, so a seed fully
 determines the event order) and a cooperative process abstraction —
-generator-based coroutines that ``yield`` :class:`Charge`, :class:`Transfer`,
-and :class:`Sleep` segments.
+generator-based coroutines that ``yield`` :class:`Charge` and :class:`Sleep`
+segments.
 
-Resources are *contended*, not summed:
-
-* **CPU** — charges on one machine serialize FIFO (non-preemptive); charges
-  on different machines overlap freely.
-* **Links** — concurrent transfers on the same directed ``src -> dst`` link
-  share the pipe via processor sharing (each of *n* in-flight transfers
-  progresses at ``1/n`` of link rate, recomputed at every join/finish).
-* **Sleeps** — pure latency (RTTs, retry backoff, injected fault delays);
-  contend with nothing.
+CPU is *contended*, not summed: charges on one machine serialize FIFO
+(non-preemptive); charges on different machines overlap freely.  Everything
+else — RTTs, bandwidth time of ME-to-ME messages and VM copies, retry
+backoff, injected fault delays — replays as a :class:`Sleep` of pure latency
+that contends with nothing.  The network is not a shared resource here
+because replayed groups never push bytes over one cross-host link at once:
+same-wave peer groups have distinct destinations, and every other pair of
+groups with a common endpoint is serialized by its machine claims.
 
 How the sequential paths stay wire-byte identical: concurrency is layered
 *on top* of the existing synchronous protocol via record-then-replay.  A
@@ -45,29 +44,20 @@ from typing import Any, Callable, Generator, Iterable
 from repro.errors import InvalidParameterError, InvalidStateError
 from repro.sim.clock import VirtualClock
 
-#: Residual link demand below this is a completed transfer (absorbs the
-#: float error of settling elapsed processor-sharing time).  The tolerance
-#: must also scale with the clock reading: at ``now ~ 1e2`` one ulp is
-#: ``~1e-14``, so an absolute-only epsilon can leave a residue too small to
-#: ever advance the clock — a zero-time event loop.  See :func:`_finished`.
-_LINK_EPSILON = 1e-15
-_LINK_REL_EPSILON = 1e-12
-
-
-def _finished(remaining: float, now: float) -> bool:
-    """Is a transfer with ``remaining`` full-rate seconds of demand done?
-
-    True when the residue is below the absolute epsilon *or* below the
-    relative tolerance at the current clock magnitude (a residue that small
-    could not measurably delay the completion anyway).
-    """
-    return remaining <= max(_LINK_EPSILON, abs(now) * _LINK_REL_EPSILON)
-
-#: Meter labels that are pure latency: they occupy neither a CPU nor a link.
-LATENCY_LABELS = frozenset({"net_rtt", "retry_backoff", "fault_delay"})
-
-#: The meter label the network charges for bandwidth-proportional time.
-TRANSFER_LABEL = "net_transfer"
+#: Meter labels that replay as pure latency rather than CPU work: network
+#: round trips and bandwidth time, VM pre-copy and switchover copies, retry
+#: backoff and injected fault delays.  A label missing here would silently
+#: become CPU work on the charging machine.
+LATENCY_LABELS = frozenset(
+    {
+        "net_rtt",
+        "net_transfer",
+        "vm_precopy",
+        "vm_switchover",
+        "retry_backoff",
+        "fault_delay",
+    }
+)
 
 
 # ------------------------------------------------------------------ segments
@@ -91,27 +81,14 @@ class Sleep:
     label: str = "sleep"
 
 
-@dataclass(frozen=True)
-class Transfer:
-    """Demand ``seconds`` of full-rate time on the directed ``src -> dst``
-    link; concurrent transfers on the link share its rate fairly."""
-
-    seconds: float
-    src: str
-    dst: str
-    label: str = TRANSFER_LABEL
-
-
-Segment = Charge | Sleep | Transfer
+Segment = Charge | Sleep
 
 
 def _normalize(segment: Any) -> Segment:
-    if isinstance(segment, (Charge, Sleep, Transfer)):
+    if isinstance(segment, (Charge, Sleep)):
         return segment
-    if isinstance(segment, (int, float)):
-        return Sleep(float(segment))
     raise InvalidParameterError(
-        f"process yielded {segment!r}; expected Charge/Sleep/Transfer or seconds"
+        f"process yielded {segment!r}; expected Charge or Sleep"
     )
 
 
@@ -174,42 +151,6 @@ class Process:
         return self.finished_at is not None
 
 
-class _Link:
-    """Processor-sharing state of one directed link.
-
-    ``members`` maps a transfer token to its remaining full-rate demand in
-    seconds; with *n* members each progresses at rate ``1/n``.  The link
-    settles elapsed time lazily at every membership change and keeps a
-    version counter so superseded completion events are ignored.
-    """
-
-    def __init__(self, key: tuple[str, str]) -> None:
-        self.key = key
-        self.members: dict[int, tuple[float, Process]] = {}
-        self.last_settled = 0.0
-        self.version = 0
-        # Utilization accounting: wall of virtual time with >= 1 transfer in
-        # flight, total transfers carried, and the deepest sharing observed.
-        self.busy_seconds = 0.0
-        self.transfers_total = 0
-        self.max_concurrent = 0
-
-    def settle(self, now: float) -> None:
-        n = len(self.members)
-        if n:
-            share = (now - self.last_settled) / n
-            for token, (remaining, proc) in self.members.items():
-                self.members[token] = (remaining - share, proc)
-            self.busy_seconds += now - self.last_settled
-        self.last_settled = now
-
-    def next_completion(self, now: float) -> float | None:
-        if not self.members:
-            return None
-        shortest = min(remaining for remaining, _ in self.members.values())
-        return now + max(shortest, 0.0) * len(self.members)
-
-
 class Scheduler:
     """A deterministic discrete-event engine over a :class:`VirtualClock`.
 
@@ -230,8 +171,6 @@ class Scheduler:
         self.cpu_queued_wait: dict[str, float] = {}
         self._cpu_pending: dict[str, int] = {}
         self.cpu_max_queue_depth: dict[str, int] = {}
-        self._links: dict[tuple[str, str], _Link] = {}
-        self._token = itertools.count()
         self.event_log: list[dict] = []
         self._running = False
 
@@ -315,8 +254,6 @@ class Scheduler:
             return
         if isinstance(segment, Charge):
             self._dispatch_charge(process, segment)
-        elif isinstance(segment, Transfer):
-            self._dispatch_transfer(process, segment)
         else:
             self._log("sleep", process.name, seconds=segment.seconds)
             self._queue.push(self._now + segment.seconds, lambda: self._step(process))
@@ -348,46 +285,6 @@ class Scheduler:
         self._cpu_pending[machine] -= 1
         self._step(process)
 
-    def _dispatch_transfer(self, process: Process, segment: Transfer) -> None:
-        key = (segment.src, segment.dst)
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = _Link(key)
-            link.last_settled = self._now
-        link.settle(self._now)
-        link.members[next(self._token)] = (segment.seconds, process)
-        link.transfers_total += 1
-        if len(link.members) > link.max_concurrent:
-            link.max_concurrent = len(link.members)
-        self._log(
-            "transfer", process.name, link=f"{segment.src}->{segment.dst}",
-            seconds=segment.seconds, sharing=len(link.members),
-        )
-        self._reschedule_link(link)
-
-    def _reschedule_link(self, link: _Link) -> None:
-        link.version += 1
-        completion = link.next_completion(self._now)
-        if completion is None:
-            return
-        version = link.version
-        self._queue.push(completion, lambda: self._link_event(link, version))
-
-    def _link_event(self, link: _Link, version: int) -> None:
-        if version != link.version:
-            return  # superseded by a later join/finish
-        link.settle(self._now)
-        finished = [
-            token
-            for token, (remaining, _) in link.members.items()
-            if _finished(remaining, self._now)
-        ]
-        for token in finished:
-            _, process = link.members.pop(token)
-            self._log("transfer_done", process.name, link=f"{link.key[0]}->{link.key[1]}")
-            self._queue.push(self._now, lambda p=process: self._step(p))
-        self._reschedule_link(link)
-
     # -------------------------------------------------------------- logging
     def _log(self, kind: str, process: str, **detail) -> None:
         entry = {"t": self._now, "event": kind, "process": process}
@@ -407,7 +304,7 @@ class Scheduler:
         """Per-resource busy fractions and queueing stats for the run.
 
         Makes pipelined speedups explainable: a mode that wins shows higher
-        CPU/link busy fractions over a shorter makespan, not different work.
+        CPU busy fractions over a shorter makespan, not different work.
         ``summary`` is the compact slice bench metadata embeds.
         """
         span = self.makespan()
@@ -424,19 +321,9 @@ class Scheduler:
             }
             for machine, busy in sorted(self.cpu_busy.items())
         }
-        links = {
-            f"{src}->{dst}": {
-                "busy_seconds": link.busy_seconds,
-                "busy_fraction": fraction(link.busy_seconds),
-                "transfers": link.transfers_total,
-                "max_concurrent": link.max_concurrent,
-            }
-            for (src, dst), link in sorted(self._links.items())
-        }
         summary = {
             "makespan": span,
             "machines": len(cpu),
-            "links": len(links),
             "mean_cpu_busy_fraction": (
                 sum(stats["busy_fraction"] for stats in cpu.values()) / len(cpu)
                 if cpu
@@ -445,16 +332,8 @@ class Scheduler:
             "max_cpu_queue_depth": max(
                 (stats["max_queue_depth"] for stats in cpu.values()), default=0
             ),
-            "mean_link_busy_fraction": (
-                sum(stats["busy_fraction"] for stats in links.values()) / len(links)
-                if links
-                else 0.0
-            ),
-            "max_link_concurrency": max(
-                (stats["max_concurrent"] for stats in links.values()), default=0
-            ),
         }
-        return {"makespan": span, "cpu": cpu, "links": links, "summary": summary}
+        return {"makespan": span, "cpu": cpu, "summary": summary}
 
 
 # ------------------------------------------------------------ trace capture
@@ -463,12 +342,9 @@ class TraceRecorder:
 
     Attach via :meth:`CostMeter.recording <repro.sim.costs.CostMeter.
     recording>`: every charge is diverted here (the clock stays frozen) and
-    classified using the meter's attribution context:
+    classified by its label:
 
-    * charges under a :meth:`~repro.sim.costs.CostMeter.on_link` context
-      with the ``net_transfer`` label become :class:`Transfer` segments;
-    * latency labels (RTT, retry backoff, injected fault delay) become
-      :class:`Sleep` segments;
+    * labels in :data:`LATENCY_LABELS` become :class:`Sleep` segments;
     * everything else becomes CPU :class:`Charge` on the meter's current
       :meth:`~repro.sim.costs.CostMeter.located` machine (falling back to
       the recorder's ``home``), with adjacent same-machine charges coalesced
@@ -479,25 +355,8 @@ class TraceRecorder:
         self.home = home
         self.segments: list[Segment] = []
 
-    def record(
-        self,
-        label: str,
-        seconds: float,
-        location: str | None,
-        link: tuple[str, str] | None,
-    ) -> None:
+    def record(self, label: str, seconds: float, location: str | None) -> None:
         if label in LATENCY_LABELS:
-            self.segments.append(Sleep(seconds, label))
-            return
-        if link is not None:
-            # Any non-latency charge inside an on_link context is bandwidth
-            # on that directed pipe (protocol payloads, VM pre-copy rounds).
-            self.segments.append(Transfer(seconds, link[0], link[1], label))
-            return
-        if label == TRANSFER_LABEL:
-            # Bandwidth time charged outside any link context (e.g. a disk
-            # image copy): no pipe to contend on, but it is not CPU work
-            # either — it replays as pure latency.
             self.segments.append(Sleep(seconds, label))
             return
         machine = location or self.home
@@ -513,17 +372,3 @@ class TraceRecorder:
     def replay(self) -> Generator[Segment, None, None]:
         """A fresh coroutine that re-enacts the recorded segments."""
         return (segment for segment in self.segments)
-
-    def total_seconds(self) -> float:
-        """Serial duration of the trace (what the sequential path would
-        have charged): the sum of every segment's demand."""
-        return sum(segment.seconds for segment in self.segments)
-
-    def cpu_seconds(self) -> dict[str, float]:
-        """Per-machine CPU demand in the trace."""
-        totals: dict[str, float] = {}
-        for segment in self.segments:
-            if isinstance(segment, Charge):
-                machine = segment.machine or self.home or "?"
-                totals[machine] = totals.get(machine, 0.0) + segment.seconds
-        return totals

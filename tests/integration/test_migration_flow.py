@@ -15,6 +15,7 @@ from repro.errors import (
     MigrationError,
 )
 from repro.sgx.identity import SigningKey
+from repro.sim.scheduler import Scheduler, Sleep, TraceRecorder
 
 
 @pytest.fixture
@@ -246,3 +247,40 @@ class TestUnauthorizedDestinations:
         dc.machine("machine-c").adopt_vm(app.vm)
         migrated = app.launch_from_incoming()
         assert migrated.ecall("read_counter", counter_id) == 1
+
+
+class TestRecordedVmMigration:
+    def test_vm_copy_replays_as_latency_not_cpu_work(self, world):
+        """A recorded migration with ``migrate_vm=True`` puts its pre-copy
+        and switchover seconds on the timeline as sleeps: none of them
+        lands in any machine's ``cpu_busy``."""
+        dc, hosts, app = world
+        enclave = app.start_new()
+        counter_id, _ = enclave.ecall("create_counter")
+        enclave.ecall("increment_counter", counter_id)
+        dc.meter.reset_charges()
+        recorder = TraceRecorder(home="machine-a")
+        with dc.meter.recording(recorder):
+            enclave = app.migrate(dc.machine("machine-b"), migrate_vm=True)
+        charges = list(dc.meter.charges)
+        assert enclave.ecall("read_counter", counter_id) == 1
+
+        def charged(label):
+            return sum(s for name, s in charges if name == label)
+
+        def slept(label):
+            return sum(
+                seg.seconds
+                for seg in recorder.segments
+                if isinstance(seg, Sleep) and seg.label == label
+            )
+
+        assert charged("vm_precopy") > 0
+        for label in ("vm_precopy", "vm_switchover"):
+            assert slept(label) == pytest.approx(charged(label))
+        scheduler = Scheduler(dc.clock)
+        scheduler.spawn("migrate", recorder.replay(), home=recorder.home)
+        scheduler.run()
+        total = sum(s for _, s in charges)
+        sleeps = sum(s.seconds for s in recorder.segments if isinstance(s, Sleep))
+        assert sum(scheduler.cpu_busy.values()) == pytest.approx(total - sleeps)

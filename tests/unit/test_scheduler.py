@@ -2,8 +2,8 @@
 
 Pins the contracts the concurrent fleet dispatch rides on: stable FIFO
 tie-breaking in the event queue, FIFO non-preemptive CPU contention,
-processor-sharing link math, trace-recorder segment mapping, the meter's
-recording/attribution contexts, and bit-for-bit determinism of full runs.
+trace-recorder segment mapping, the meter's recording/attribution contexts,
+and bit-for-bit determinism of full runs.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.sim.scheduler import (
     Scheduler,
     Sleep,
     TraceRecorder,
-    Transfer,
 )
 
 
@@ -56,11 +55,6 @@ class TestSchedulerBasics:
         final = sched.run()
         assert final == pytest.approx(2.0)
         assert clock.now == pytest.approx(2.0)
-
-    def test_bare_numbers_are_sleeps(self):
-        sched = Scheduler()
-        sched.spawn("p", iter([1.0, 2]))
-        assert sched.run() == pytest.approx(3.0)
 
     def test_invalid_yield_is_typed(self):
         sched = Scheduler()
@@ -113,41 +107,6 @@ class TestCpuContention:
         assert first.finished_at < second.finished_at
 
 
-class TestLinkSharing:
-    def test_two_equal_transfers_halve_the_rate(self):
-        sched = Scheduler()
-        a = sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        b = sched.spawn("b", iter([Transfer(1.0, "m-0", "m-1")]))
-        final = sched.run()
-        # Each holds half the pipe: both need 2 s of wall time.
-        assert final == pytest.approx(2.0)
-        assert a.finished_at == pytest.approx(2.0)
-        assert b.finished_at == pytest.approx(2.0)
-
-    def test_staggered_join_processor_sharing_math(self):
-        sched = Scheduler()
-        a = sched.spawn("a", iter([Transfer(2.0, "m-0", "m-1")]))
-        b = sched.spawn("b", iter([Sleep(1.0), Transfer(2.0, "m-0", "m-1")]))
-        sched.run()
-        # a alone for 1 s (1.0 demand left), then shared: a's last 1.0 takes
-        # 2 s of wall time -> a done at 3.0; over those 2 s b also drains
-        # 1.0 of its 2.0 demand, then finishes alone -> done at 4.0.
-        assert a.finished_at == pytest.approx(3.0)
-        assert b.finished_at == pytest.approx(4.0)
-
-    def test_opposite_directions_are_separate_links(self):
-        sched = Scheduler()
-        sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.spawn("b", iter([Transfer(1.0, "m-1", "m-0")]))
-        assert sched.run() == pytest.approx(1.0)
-
-    def test_disjoint_links_do_not_contend(self):
-        sched = Scheduler()
-        sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.spawn("b", iter([Transfer(1.0, "m-2", "m-3")]))
-        assert sched.run() == pytest.approx(1.0)
-
-
 class TestDeterminism:
     def _world(self):
         sched = Scheduler()
@@ -157,7 +116,6 @@ class TestDeterminism:
                 iter(
                     [
                         Charge(0.25, f"m-{i % 2}"),
-                        Transfer(0.5, f"m-{i % 2}", "m-9"),
                         Sleep(0.1),
                         Charge(0.1, f"m-{i % 2}"),
                     ]
@@ -181,31 +139,42 @@ class TestDeterminism:
 class TestTraceRecorder:
     def test_label_mapping(self):
         rec = TraceRecorder(home="m-0")
-        rec.record("net_rtt", 0.1, None, None)
-        rec.record("net_transfer", 0.2, None, ("m-0", "m-1"))
-        rec.record("ecall", 0.3, "m-1", None)
-        rec.record("retry_backoff", 0.4, None, None)
-        rec.record("fault_delay", 0.5, None, None)
+        rec.record("net_rtt", 0.1, None)
+        rec.record("ecall", 0.3, "m-1")
+        rec.record("retry_backoff", 0.4, None)
+        rec.record("fault_delay", 0.5, None)
         assert rec.segments == [
             Sleep(0.1, "net_rtt"),
-            Transfer(0.2, "m-0", "m-1"),
             Charge(0.3, "m-1", "ecall"),
             Sleep(0.4, "retry_backoff"),
             Sleep(0.5, "fault_delay"),
         ]
 
     def test_transfer_without_link_context_is_a_sleep(self):
-        # net_transfer charged outside on_link (e.g. disk path) has no link
-        # to contend on; it degrades to pure latency, never to a CPU charge.
+        # Bandwidth time is latency, never CPU work — even when charged
+        # inside a located block, where any other label would become a
+        # Charge on that machine.
         rec = TraceRecorder(home="m-0")
-        rec.record("net_transfer", 0.2, None, None)
+        rec.record("net_transfer", 0.2, "m-1")
         assert rec.segments == [Sleep(0.2, "net_transfer")]
+
+    def test_vm_copy_labels_are_sleeps(self):
+        # VM pre-copy and switchover time is bytes on the wire: it must
+        # replay as latency, or a recorded live migration would bill
+        # seconds of copying to a CPU.
+        rec = TraceRecorder(home="m-0")
+        rec.record("vm_precopy", 0.2, "m-1")
+        rec.record("vm_switchover", 0.1, "m-1")
+        assert rec.segments == [
+            Sleep(0.2, "vm_precopy"),
+            Sleep(0.1, "vm_switchover"),
+        ]
 
     def test_adjacent_same_machine_charges_coalesce(self):
         rec = TraceRecorder(home="m-0")
-        rec.record("ecall", 0.25, "m-1", None)
-        rec.record("seal", 0.5, "m-1", None)
-        rec.record("ecall", 0.125, "m-2", None)
+        rec.record("ecall", 0.25, "m-1")
+        rec.record("seal", 0.5, "m-1")
+        rec.record("ecall", 0.125, "m-2")
         assert rec.segments == [
             Charge(0.75, "m-1", "ecall"),
             Charge(0.125, "m-2", "ecall"),
@@ -213,20 +182,13 @@ class TestTraceRecorder:
 
     def test_unlocated_charges_fall_back_to_home(self):
         rec = TraceRecorder(home="m-7")
-        rec.record("misc", 0.5, None, None)
+        rec.record("misc", 0.5, None)
         assert rec.segments == [Charge(0.5, "m-7", "misc")]
-        assert rec.cpu_seconds() == {"m-7": pytest.approx(0.5)}
-
-    def test_total_seconds_is_the_serial_sum(self):
-        rec = TraceRecorder(home="m-0")
-        rec.record("net_rtt", 0.1, None, None)
-        rec.record("ecall", 0.2, "m-0", None)
-        assert rec.total_seconds() == pytest.approx(0.3)
 
     def test_replay_reenacts_the_trace_on_a_scheduler(self):
         rec = TraceRecorder(home="m-0")
-        rec.record("ecall", 0.25, "m-0", None)
-        rec.record("net_rtt", 0.1, None, None)
+        rec.record("ecall", 0.25, "m-0")
+        rec.record("net_rtt", 0.1, None)
         sched = Scheduler()
         sched.spawn("replay", rec.replay(), home=rec.home)
         assert sched.run() == pytest.approx(0.35)
@@ -253,7 +215,7 @@ class TestMeterRecording:
         # Same noisy sample either way — the wire-byte-invariance keystone.
         assert sequential.charges == recorded.charges
 
-    def test_located_and_on_link_nest_and_restore(self):
+    def test_located_contexts_nest_and_restore(self):
         m = meter()
         rec = TraceRecorder(home="m-0")
         with m.recording(rec):
@@ -261,16 +223,13 @@ class TestMeterRecording:
                 with m.located("m-2"):
                     m.charge_exact("inner", 0.1)
                 m.charge_exact("outer", 0.1)
-            with m.on_link("m-0", "m-1"):
-                m.charge_exact("net_transfer", 0.2)
             m.charge_exact("plain", 0.1)
         assert rec.segments == [
             Charge(0.1, "m-2", "inner"),
             Charge(0.1, "m-1", "outer"),
-            Transfer(0.2, "m-0", "m-1"),
             Charge(0.1, "m-0", "plain"),
         ]
-        assert m.location is None and m.link is None
+        assert m.location is None
 
     def test_nested_recording_is_typed(self):
         m = meter()
@@ -281,7 +240,7 @@ class TestMeterRecording:
 
     def test_contexts_are_inert_without_a_recorder(self):
         m = meter()
-        with m.located("m-1"), m.on_link("m-0", "m-1"):
+        with m.located("m-1"):
             m.charge_exact("ecall", 0.5)
         assert m.clock.now == pytest.approx(0.5)
 
@@ -394,34 +353,17 @@ class TestUtilizationReport:
         assert m1["queued_wait_seconds"] == pytest.approx(0.0)
         assert m1["max_queue_depth"] == 1
 
-    def test_link_stats_count_transfers_and_concurrency(self):
-        sched = Scheduler()
-        sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.spawn("b", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.run()
-        report = sched.utilization_report()
-        link = report["links"]["m-0->m-1"]
-        assert link["transfers"] == 2
-        assert link["max_concurrent"] == 2
-        # Processor sharing: both 1 s transfers finish at t=2, link busy
-        # the whole makespan.
-        assert link["busy_seconds"] == pytest.approx(2.0)
-        assert link["busy_fraction"] == pytest.approx(1.0)
-
     def test_summary_is_the_compact_bench_slice(self):
         sched = Scheduler()
-        sched.spawn("a", iter([Charge(1.0, "m-0"), Transfer(1.0, "m-0", "m-1")]))
+        sched.spawn("a", iter([Charge(1.0, "m-0"), Sleep(1.0)]))
         sched.run()
         summary = sched.utilization_report()["summary"]
         assert summary["machines"] == 1
-        assert summary["links"] == 1
         assert summary["makespan"] == pytest.approx(2.0)
         assert 0.0 < summary["mean_cpu_busy_fraction"] <= 1.0
-        assert 0.0 < summary["mean_link_busy_fraction"] <= 1.0
         assert summary["max_cpu_queue_depth"] == 1
 
     def test_empty_schedule_reports_zeroes(self):
         report = Scheduler().utilization_report()
-        assert report["cpu"] == {} and report["links"] == {}
+        assert report["cpu"] == {}
         assert report["summary"]["mean_cpu_busy_fraction"] == 0.0
-        assert report["summary"]["max_link_concurrency"] == 0
