@@ -13,10 +13,8 @@ CPU is *contended*, not summed: charges on one machine serialize FIFO
 (non-preemptive); charges on different machines overlap freely.  Everything
 else — RTTs, bandwidth time of ME-to-ME messages and VM copies, retry
 backoff, injected fault delays — replays as a :class:`Sleep` of pure latency
-that contends with nothing.  The network is not a shared resource here
-because replayed groups never push bytes over one cross-host link at once:
-same-wave peer groups have distinct destinations, and every other pair of
-groups with a common endpoint is serialized by its machine claims.
+that contends with nothing; links are not modelled because replayed groups
+never share a cross-host link (DESIGN.md §15 gives the argument).
 
 How the sequential paths stay wire-byte identical: concurrency is layered
 *on top* of the existing synchronous protocol via record-then-replay.  A
